@@ -7,7 +7,7 @@ float64 and is deterministic given its seeds.
 """
 
 from .checkpoint import Checkpoint, load_checkpoint, save_checkpoint
-from .distillation import KDConfig, TeacherHandle, kd_loss, kd_loss_terms
+from .distillation import KDConfig, TeacherHandle, kd_loss_terms
 from .harness import RunResult, TrainingDiverged, run, sweep
 from .models import TinyEncoder, TinyEncoderConfig, evaluate, train_teacher
 from .pruning import apply_masks, fresh_masks, magnitude_prune, mask_sparsity
@@ -19,14 +19,7 @@ from .recipes import (
     load_bundled,
     parse_recipe,
 )
-from .schedules import (
-    LRScheduleParams,
-    SparsityScheduleParams,
-    cubic_sparsity,
-    linear_decay_lr,
-    lr_at,
-    sparsity_at,
-)
+from .schedules import cubic_sparsity
 from .tasks import SyntheticTask, TaskData, generate_task
 from .tensor import Tape, Tensor
 
@@ -34,14 +27,13 @@ __version__ = "0.1.0"
 
 __all__ = [
     "Checkpoint", "load_checkpoint", "save_checkpoint",
-    "KDConfig", "TeacherHandle", "kd_loss", "kd_loss_terms",
+    "KDConfig", "TeacherHandle", "kd_loss_terms",
     "RunResult", "TrainingDiverged", "run", "sweep",
     "TinyEncoder", "TinyEncoderConfig", "evaluate", "train_teacher",
     "apply_masks", "fresh_masks", "magnitude_prune", "mask_sparsity",
     "Recipe", "RecipeError", "audit_recipe", "compile_timeline",
     "load_bundled", "parse_recipe",
-    "LRScheduleParams", "SparsityScheduleParams", "cubic_sparsity",
-    "linear_decay_lr", "lr_at", "sparsity_at",
+    "cubic_sparsity",
     "SyntheticTask", "TaskData", "generate_task",
     "Tape", "Tensor",
     "__version__",

@@ -151,6 +151,11 @@ def load_checkpoint(directory: str) -> Checkpoint:
         with open(os.path.join(directory, "masks.bin"), "rb") as fh:
             packed = np.frombuffer(fh.read(), dtype=np.uint8)
         total_bits = sum(int(e["num_bits"]) for e in mask_index.values())
+        if packed.size != (total_bits + 7) // 8:
+            raise ValueError(
+                f"masks.bin has {packed.size} bytes, index accounts for "
+                f"{total_bits} bits"
+            )
         flat = np.unpackbits(packed, count=total_bits, bitorder="little").astype(bool)
         masks = {}
         expected_bit = 0

@@ -15,7 +15,6 @@ cross-entropy.
 
 from __future__ import annotations
 
-import hashlib
 from dataclasses import dataclass
 
 import numpy as np
@@ -36,11 +35,6 @@ class KDConfig:
             raise ValueError(f"hardness must be in [0, 1], got {self.hardness}")
         if not self.temperature > 0.0:
             raise ValueError(f"temperature must be > 0, got {self.temperature}")
-
-
-def _log_softmax_np(logits: np.ndarray) -> np.ndarray:
-    z = logits - logits.max(axis=-1, keepdims=True)
-    return z - np.log(np.exp(z).sum(axis=-1, keepdims=True))
 
 
 def soften(logits: np.ndarray, temperature: float) -> np.ndarray:
@@ -87,18 +81,12 @@ def _kl_term(student_logits: Tensor, teacher_logits: np.ndarray,
     constant (teacher-only) part as a float for reporting."""
     batch = student_logits.shape[0]
     p_teacher = soften(teacher_logits, temperature)
-    log_p_teacher = _log_softmax_np(np.asarray(teacher_logits) / temperature)
+    log_p_teacher = log_softmax(np.asarray(teacher_logits) / temperature).data
     const_part = float((p_teacher * log_p_teacher).sum() / batch)
     ls_student = log_softmax(mul(student_logits, 1.0 / temperature))
     cross = mul(ls_student, p_teacher).sum() * (1.0 / batch)
     kl = cross * (-1.0) + const_part
     return kl, const_part
-
-
-def kd_loss(student_logits: Tensor, teacher_logits: np.ndarray | None,
-            labels: np.ndarray, config: KDConfig) -> Tensor:
-    loss, _, _ = kd_loss_terms(student_logits, teacher_logits, labels, config)
-    return loss
 
 
 def kd_loss_terms(
@@ -142,24 +130,15 @@ class TeacherHandle:
     """A frozen teacher model that produces logits as plain arrays.
 
     Parameters are loaded with requires_grad off, so teacher forwards never
-    land on the caller's tape. Logits are memoized by token-batch content;
-    at desk scale the cache stays tiny."""
+    land on the caller's tape."""
 
     def __init__(self, ckpt):
         from .models import encoder_from_checkpoint
 
         self.encoder = encoder_from_checkpoint(ckpt, requires_grad=False)
-        self._cache: dict[bytes, np.ndarray] = {}
 
     def logits(self, tokens: np.ndarray) -> np.ndarray:
-        tokens = np.ascontiguousarray(tokens)
-        key = hashlib.sha1(tokens.tobytes()).digest() + str(tokens.shape).encode()
-        hit = self._cache.get(key)
-        if hit is not None:
-            return hit
-        out = self.encoder.forward(tokens).data
-        self._cache[key] = out
-        return out
+        return self.encoder.forward(tokens).data
 
 
 def teacher_distribution_stats(

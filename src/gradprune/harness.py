@@ -38,7 +38,7 @@ from .pruning import (
     masks_subset_of,
     zero_masked_grads,
 )
-from .recipes import Recipe, compile_timeline, recipe_hash
+from .recipes import Recipe, compile_timeline, override_field, recipe_hash
 from .tasks import TaskData, iterate_batches, steps_per_epoch
 from .tensor import Tape
 
@@ -267,12 +267,11 @@ def sweep(
     """Run the recipe once per (value, seed), overriding one dotted field.
 
     A diverged child run is recorded and skipped in the aggregate; it does
-    not take down the rest of the sweep. The summary table has one row per
-    value: mean and population std of final validation accuracy over the
-    seeds that finished.
+    not take down the rest of the sweep. Any other error propagates. The
+    summary table has one row per value: mean and population std of final
+    validation accuracy over the seeds that finished.
     """
-    from .recipes import override_field
-
+    seeds = list(seeds)
     sentinel = _place_sentinel(out_dir) if out_dir is not None else None
     rows = []
     runs: dict[str, RunResult] = {}
@@ -288,7 +287,7 @@ def sweep(
             try:
                 result = run(variant, data, seed=seed, teacher=teacher, init=init,
                              out_dir=child_dir)
-            except (TrainingDiverged, RuntimeError) as exc:
+            except TrainingDiverged as exc:
                 errors[key] = str(exc)
                 continue
             runs[key] = result
@@ -298,7 +297,7 @@ def sweep(
             "mean_accuracy": float(np.mean(accs)) if accs else float("nan"),
             "std_accuracy": float(np.std(accs)) if accs else float("nan"),
             "num_ok": len(accs),
-            "num_seeds": len(list(seeds)),
+            "num_seeds": len(seeds),
         })
     result = SweepResult(field=field, rows=rows, runs=runs, errors=errors)
     if out_dir is not None:

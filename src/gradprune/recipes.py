@@ -24,14 +24,7 @@ import numpy as np
 
 from .distillation import KDConfig
 from .pruning import POLICIES
-from .schedules import (
-    LRScheduleParams,
-    SparsityScheduleParams,
-    event_targets,
-    linear_decay_lr,
-    lr_at,
-    prune_event_steps,
-)
+from .schedules import cyclic_lr, event_targets, linear_decay, prune_event_steps
 
 STAGES = ("downstream", "upstream", "upstream-finetune")
 LR_KINDS = ("cyclic", "linear")
@@ -227,6 +220,10 @@ def parse_recipe(source) -> Recipe:
             _fail("recipe.sparsity",
                   f"freeze windows ({head} head + {tail} tail) leave no epochs "
                   f"out of {total_epochs} for pruning")
+        num_events = freq * (total_epochs - head - tail)
+        if num_events < 2:
+            _fail("recipe.sparsity",
+                  f"the cubic ramp needs at least 2 prune events, got {num_events}")
         sparsity = SparsitySpec(
             initial_step=initial_step, final=final, head_freeze_epochs=head,
             tail_freeze_epochs=tail, prune_frequency_per_epoch=freq, policy=policy,
@@ -297,10 +294,7 @@ def override_field(recipe: Recipe, path: str, value) -> Recipe:
 
 def bundled_recipe_names() -> list[str]:
     root = resources.files("gradprune").joinpath("data")
-    return sorted(
-        p.name[:-5] for p in root.iterdir()
-        if p.name.endswith(".json") and not p.name.endswith(".schema.json")
-    )
+    return sorted(p.name[:-5] for p in root.iterdir() if p.name.endswith(".json"))
 
 
 def load_bundled(name: str) -> Recipe:
@@ -316,7 +310,6 @@ def load_bundled(name: str) -> Recipe:
 @dataclass(frozen=True)
 class Timeline:
     """A recipe made concrete for a particular steps-per-epoch."""
-    recipe_name: str
     steps_per_epoch: int
     total_steps: int
     lr: np.ndarray
@@ -330,7 +323,9 @@ def compile_timeline(recipe: Recipe, steps_per_epoch: int) -> Timeline:
 
     Needs steps_per_epoch because the recipe speaks in epochs; the result
     has a learning rate for every step, each prune event's (step, target),
-    and the evaluation points (epoch ends plus every prune event).
+    and the evaluation points (epoch ends plus every prune event). The
+    recipe is already valid; this checks only the rules that depend on
+    steps_per_epoch.
     """
     if steps_per_epoch < 1:
         raise ValueError(f"steps_per_epoch must be >= 1, got {steps_per_epoch}")
@@ -344,40 +339,39 @@ def compile_timeline(recipe: Recipe, steps_per_epoch: int) -> Timeline:
                 f"cycle of {recipe.lr.cycle_length_epochs} epochs is not a whole "
                 f"number of steps at {steps_per_epoch} steps/epoch"
             )
-        params = LRScheduleParams(
-            lr_init=recipe.lr.initial, lr_final=recipe.lr.final,
-            cycle_steps=int(cycle_steps), total_steps=total_steps,
-        )
-        lr = np.array([lr_at(params, s) for s in range(total_steps)])
-        num_cycles = params.num_cycles
+        if cycle_steps < 2:
+            raise ValueError(
+                f"cycle_steps must be >= 2, got {cycle_steps} at "
+                f"{steps_per_epoch} steps/epoch"
+            )
+        # parse_recipe made the cycle divide total_epochs, so it divides
+        # total_steps too
+        lr = cyclic_lr(recipe.lr.initial, recipe.lr.final, cycle_steps, total_steps)
+        num_cycles = total_steps // cycle_steps
     else:
-        lr = np.array([
-            linear_decay_lr(recipe.lr.initial, total_steps, s)
-            for s in range(total_steps)
-        ])
+        lr = linear_decay(recipe.lr.initial, total_steps)
         num_cycles = 0
 
     events: tuple[tuple[int, float], ...] = ()
     if recipe.sparsity is not None:
         sp = recipe.sparsity
-        params = SparsityScheduleParams(
-            initial_step=sp.initial_step, final=sp.final,
-            total_epochs=recipe.total_epochs,
-            head_freeze_epochs=sp.head_freeze_epochs,
-            tail_freeze_epochs=sp.tail_freeze_epochs,
-            prune_frequency_per_epoch=sp.prune_frequency_per_epoch,
-            steps_per_epoch=steps_per_epoch,
-        )
-        steps = prune_event_steps(params)
-        targets = event_targets(params)
-        if len(steps) != params.num_events or np.any(np.diff(steps) <= 0):
+        if steps_per_epoch < sp.prune_frequency_per_epoch:
+            raise ValueError(
+                f"steps_per_epoch {steps_per_epoch} cannot fit "
+                f"{sp.prune_frequency_per_epoch} prune events per epoch"
+            )
+        prunable_epochs = recipe.total_epochs - sp.head_freeze_epochs - sp.tail_freeze_epochs
+        num_events = sp.prune_frequency_per_epoch * prunable_epochs
+        steps = prune_event_steps(sp.head_freeze_epochs * steps_per_epoch,
+                                  prunable_epochs * steps_per_epoch, num_events)
+        targets = event_targets(sp.initial_step, sp.final, num_events)
+        if np.any(np.diff(steps) <= 0):
             raise AssertionError("prune events must be distinct and increasing")
         events = tuple((int(s), float(t)) for s, t in zip(steps, targets))
 
     epoch_ends = {e * steps_per_epoch - 1 for e in range(1, recipe.total_epochs + 1)}
     eval_steps = tuple(sorted(epoch_ends | {s for s, _ in events}))
     return Timeline(
-        recipe_name=recipe.name,
         steps_per_epoch=steps_per_epoch,
         total_steps=total_steps,
         lr=lr,

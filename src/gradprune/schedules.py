@@ -10,11 +10,13 @@ step. A plain one-shot linear decay is also provided for fixed-mask runs.
 Boundary values are special-cased so that, for example, the first event's
 target is exactly the configured initial step, not the formula's rounding of
 it.
+
+These are plain functions of plain numbers. They check no recipe rules:
+``parse_recipe`` validates the recipe and ``compile_timeline`` the rules
+that depend on steps per epoch, before anything here is called.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -37,149 +39,35 @@ def cubic_sparsity(initial: float, final: float, k: int, num_events: int) -> flo
     return final + (initial - final) * frac * frac * frac
 
 
-@dataclass(frozen=True)
-class SparsityScheduleParams:
-    initial_step: float
-    final: float
-    total_epochs: int
-    head_freeze_epochs: int
-    tail_freeze_epochs: int
-    prune_frequency_per_epoch: int
-    steps_per_epoch: int
-
-    def __post_init__(self):
-        if not 0.0 <= self.initial_step < 1.0:
-            raise ValueError(f"initial_step must be in [0, 1), got {self.initial_step}")
-        if not 0.0 < self.final <= 1.0:
-            raise ValueError(f"final must be in (0, 1], got {self.final}")
-        if self.initial_step >= self.final:
-            raise ValueError(
-                f"initial_step {self.initial_step} must be below final {self.final}"
-            )
-        if self.total_epochs < 1:
-            raise ValueError(f"total_epochs must be >= 1, got {self.total_epochs}")
-        if self.head_freeze_epochs < 0 or self.tail_freeze_epochs < 0:
-            raise ValueError("freeze windows cannot be negative")
-        if self.head_freeze_epochs + self.tail_freeze_epochs >= self.total_epochs:
-            raise ValueError(
-                f"freeze windows ({self.head_freeze_epochs} head + "
-                f"{self.tail_freeze_epochs} tail) leave no epochs out of "
-                f"{self.total_epochs} for pruning"
-            )
-        if self.prune_frequency_per_epoch < 1:
-            raise ValueError(
-                f"prune_frequency_per_epoch must be >= 1, got "
-                f"{self.prune_frequency_per_epoch}"
-            )
-        if self.steps_per_epoch < self.prune_frequency_per_epoch:
-            raise ValueError(
-                f"steps_per_epoch {self.steps_per_epoch} cannot fit "
-                f"{self.prune_frequency_per_epoch} prune events per epoch"
-            )
-        if self.num_events < 2:
-            raise ValueError("schedule needs at least 2 prune events")
-
-    @property
-    def prunable_epochs(self) -> int:
-        return self.total_epochs - self.head_freeze_epochs - self.tail_freeze_epochs
-
-    @property
-    def num_events(self) -> int:
-        return self.prune_frequency_per_epoch * self.prunable_epochs
-
-    @property
-    def window_start(self) -> int:
-        """First global step at which pruning may occur."""
-        return self.head_freeze_epochs * self.steps_per_epoch
-
-    @property
-    def window_steps(self) -> int:
-        return self.prunable_epochs * self.steps_per_epoch
-
-    @property
-    def total_steps(self) -> int:
-        return self.total_epochs * self.steps_per_epoch
+def prune_event_steps(window_start: int, window_steps: int, num_events: int) -> np.ndarray:
+    """Global step of each prune event, spread by the floor rule over the
+    ``window_steps`` steps from ``window_start``; strictly increasing when
+    ``window_steps >= num_events``."""
+    k = np.arange(num_events, dtype=np.int64)
+    return window_start + (k * window_steps) // num_events
 
 
-def prune_event_steps(params: SparsityScheduleParams) -> np.ndarray:
-    """Global step of each prune event, strictly increasing, all inside the
-    non-frozen window."""
-    k = np.arange(params.num_events, dtype=np.int64)
-    return params.window_start + (k * params.window_steps) // params.num_events
-
-
-def event_targets(params: SparsityScheduleParams) -> np.ndarray:
+def event_targets(initial: float, final: float, num_events: int) -> np.ndarray:
     """Target sparsity of each prune event (cubic ramp, endpoints exact)."""
-    return np.array([
-        cubic_sparsity(params.initial_step, params.final, int(k), params.num_events)
-        for k in range(params.num_events)
-    ])
+    return np.array([cubic_sparsity(initial, final, k, num_events)
+                     for k in range(num_events)])
 
 
-def sparsity_at(params: SparsityScheduleParams, step: int) -> float:
-    """Target sparsity in effect at a global step: the most recent event's
-    target, or 0.0 before any event has fired."""
-    if not 0 <= step < params.total_steps:
-        raise ValueError(
-            f"step {step} out of range [0, {params.total_steps})"
-        )
-    steps = prune_event_steps(params)
-    idx = int(np.searchsorted(steps, step, side="right")) - 1
-    if idx < 0:
-        return 0.0
-    return cubic_sparsity(params.initial_step, params.final, idx, params.num_events)
+def cyclic_lr(initial: float, final: float, cycle_steps: int, total_steps: int) -> np.ndarray:
+    """Learning rate at every step under recurring linear-decay cycles.
 
-
-@dataclass(frozen=True)
-class LRScheduleParams:
-    lr_init: float
-    lr_final: float
-    cycle_steps: int
-    total_steps: int
-
-    def __post_init__(self):
-        if not self.lr_init > self.lr_final > 0.0:
-            raise ValueError(
-                f"need lr_init > lr_final > 0, got {self.lr_init} and {self.lr_final}"
-            )
-        if self.cycle_steps < 2:
-            raise ValueError(f"cycle_steps must be >= 2, got {self.cycle_steps}")
-        if self.total_steps < 1 or self.total_steps % self.cycle_steps != 0:
-            raise ValueError(
-                f"total_steps {self.total_steps} must be a positive multiple of "
-                f"cycle_steps {self.cycle_steps}"
-            )
-
-    @property
-    def num_cycles(self) -> int:
-        return self.total_steps // self.cycle_steps
-
-
-def lr_at(params: LRScheduleParams, step: int) -> float:
-    """Learning rate at a global step under recurring linear-decay cycles.
-
-    Position 0 of every cycle is exactly lr_init and the last position is
-    exactly lr_final; in between the decay is linear in the position.
+    Position 0 of every cycle is exactly ``initial`` and the last position is
+    exactly ``final``; in between the decay is linear in the position.
     """
-    if not 0 <= step < params.total_steps:
-        raise ValueError(f"step {step} out of range [0, {params.total_steps})")
-    pos = step % params.cycle_steps
-    last = params.cycle_steps - 1
-    if pos == 0:
-        return params.lr_init
-    if pos == last:
-        return params.lr_final
-    return params.lr_init + (params.lr_final - params.lr_init) * (pos / last)
+    pos = np.arange(total_steps) % cycle_steps
+    last = cycle_steps - 1
+    lr = initial + (final - initial) * (pos / last)
+    lr[pos == 0] = initial
+    lr[pos == last] = final
+    return lr
 
 
-def linear_decay_lr(lr_init: float, total_steps: int, step: int) -> float:
-    """One-shot linear decay from lr_init to exactly 0 at total_steps."""
-    if lr_init <= 0.0:
-        raise ValueError(f"lr_init must be > 0, got {lr_init}")
-    if total_steps < 1:
-        raise ValueError(f"total_steps must be >= 1, got {total_steps}")
-    if not 0 <= step <= total_steps:
-        raise ValueError(f"step {step} out of range [0, {total_steps}]")
-    if step == total_steps:
-        return 0.0
-    return lr_init * (1.0 - step / total_steps)
+def linear_decay(initial: float, total_steps: int) -> np.ndarray:
+    """One-shot linear decay from ``initial`` at step 0 towards 0 at
+    ``total_steps`` (the last step's rate is still positive)."""
+    return initial * (1.0 - np.arange(total_steps) / total_steps)

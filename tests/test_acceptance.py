@@ -20,7 +20,7 @@ from gradprune.distillation import (
     KDConfig,
     cross_entropy,
     distribution_entropy,
-    kd_loss,
+    kd_loss_terms,
     soften,
 )
 from gradprune.harness import run
@@ -34,13 +34,6 @@ from gradprune.recipes import (
     override_field,
     parse_recipe,
     serialize_recipe,
-)
-from gradprune.schedules import (
-    LRScheduleParams,
-    SparsityScheduleParams,
-    linear_decay_lr,
-    lr_at,
-    sparsity_at,
 )
 from gradprune.tasks import SyntheticTask, generate_task
 from gradprune.tensor import Tape, Tensor
@@ -83,12 +76,10 @@ def test_criterion_1_schedule_oracle(acceptance):
         spe = SPE[name]
         total_steps = recipe.total_epochs * spe
         samples = rng.integers(0, total_steps, size=10_000)
+        timeline = compile_timeline(recipe, spe)
 
         if recipe.lr.kind == "cyclic":
             cycle = int(recipe.lr.cycle_length_epochs * spe)
-            lrp = LRScheduleParams(lr_init=recipe.lr.initial,
-                                   lr_final=recipe.lr.final,
-                                   cycle_steps=cycle, total_steps=total_steps)
 
             def lr_oracle(s):
                 pos = s % cycle
@@ -102,25 +93,14 @@ def test_criterion_1_schedule_oracle(acceptance):
             # boundary fact: every cycle ends exactly at the final lr
             for c in range(total_steps // cycle):
                 end = c * cycle + cycle - 1
-                boundaries_ok &= lr_at(lrp, end) == recipe.lr.final
-            lr_fn = lambda s: lr_at(lrp, s)
+                boundaries_ok &= timeline.lr[end] == recipe.lr.final
         else:
             def lr_oracle(s):
                 return recipe.lr.initial * (1.0 - s / total_steps)
 
-            lr_fn = lambda s: linear_decay_lr(recipe.lr.initial, total_steps, s)
-
         sp_fn = None
         if recipe.sparsity is not None:
             sp = recipe.sparsity
-            params = SparsityScheduleParams(
-                initial_step=sp.initial_step, final=sp.final,
-                total_epochs=recipe.total_epochs,
-                head_freeze_epochs=sp.head_freeze_epochs,
-                tail_freeze_epochs=sp.tail_freeze_epochs,
-                prune_frequency_per_epoch=sp.prune_frequency_per_epoch,
-                steps_per_epoch=spe,
-            )
             ev_steps, ev_targets = closed_form_events(
                 sp, recipe.total_epochs, spe)
 
@@ -128,15 +108,23 @@ def test_criterion_1_schedule_oracle(acceptance):
                 i = bisect.bisect_right(ev_steps, s) - 1
                 return 0.0 if i < 0 else ev_targets[i]
 
-            sp_fn = lambda s: sparsity_at(params, s)
+            # the target in effect at a step is the latest event's at or
+            # before it, 0.0 before the first
+            t_steps = [step for step, _ in timeline.prune_events]
+            t_targets = [target for _, target in timeline.prune_events]
+
+            def sp_fn(s):
+                i = bisect.bisect_right(t_steps, s) - 1
+                return 0.0 if i < 0 else t_targets[i]
+
             # boundary facts: first event exactly the initial step, last
             # exactly the final target
-            boundaries_ok &= sparsity_at(params, ev_steps[0]) == sp.initial_step == 0.70
-            boundaries_ok &= sparsity_at(params, ev_steps[-1]) == sp.final
+            boundaries_ok &= sp_fn(ev_steps[0]) == sp.initial_step == 0.70
+            boundaries_ok &= sp_fn(ev_steps[-1]) == sp.final
 
         for s in samples:
             s = int(s)
-            worst = max(worst, abs(lr_fn(s) - lr_oracle(s)))
+            worst = max(worst, abs(timeline.lr[s] - lr_oracle(s)))
             if sp_fn is not None:
                 worst = max(worst, abs(sp_fn(s) - sp_oracle(s)))
 
@@ -281,8 +269,8 @@ def test_criterion_4_kd_loss(acceptance):
     labels = rng.integers(0, 4, size=8)
     with Tape() as tape:
         a = Tensor(logits.copy(), requires_grad=True)
-        kd = kd_loss(a, rng.normal(size=(8, 4)), labels,
-                     KDConfig(hardness=0.0, temperature=5.5))
+        kd = kd_loss_terms(a, rng.normal(size=(8, 4)), labels,
+                           KDConfig(hardness=0.0, temperature=5.5))[0]
         tape.backward(kd)
     with Tape() as tape:
         b = Tensor(logits.copy(), requires_grad=True)
@@ -295,16 +283,16 @@ def test_criterion_4_kd_loss(acceptance):
     equal_kl = 0.0
     for t in (0.5, 1.0, 5.5, 10.0):
         same = rng.normal(size=(6, 5))
-        loss = kd_loss(Tensor(same.copy()), same.copy(),
-                       rng.integers(0, 5, size=6),
-                       KDConfig(hardness=1.0, temperature=t))
+        loss = kd_loss_terms(Tensor(same.copy()), same.copy(),
+                             rng.integers(0, 5, size=6),
+                             KDConfig(hardness=1.0, temperature=t))[0]
         equal_kl = max(equal_kl, abs(float(loss.data)))
 
     # worked two-class example
-    worked = float(kd_loss(
+    worked = float(kd_loss_terms(
         Tensor(np.array([[0.0, 2.0]])), np.array([[2.0, 0.0]]), np.array([0]),
         KDConfig(hardness=1.0, temperature=1.0, scale_kl_by_t_squared=True),
-    ).data)
+    )[0].data)
     worked_err = abs(worked - 1.5232)
 
     # gradient vs central finite differences over 200 random (h, T)
@@ -318,14 +306,14 @@ def test_criterion_4_kd_loss(acceptance):
         lbl = rng.integers(0, 4, size=3)
         with Tape() as tape:
             x = Tensor(x0.copy(), requires_grad=True)
-            tape.backward(kd_loss(x, teacher, lbl, cfg))
+            tape.backward(kd_loss_terms(x, teacher, lbl, cfg)[0])
         fd = np.zeros_like(x0)
         for idx in np.ndindex(x0.shape):
             up, down = x0.copy(), x0.copy()
             up[idx] += eps
             down[idx] -= eps
-            f_up = float(kd_loss(Tensor(up), teacher, lbl, cfg).data)
-            f_down = float(kd_loss(Tensor(down), teacher, lbl, cfg).data)
+            f_up = float(kd_loss_terms(Tensor(up), teacher, lbl, cfg)[0].data)
+            f_down = float(kd_loss_terms(Tensor(down), teacher, lbl, cfg)[0].data)
             fd[idx] = (f_up - f_down) / (2 * eps)
         rel = np.max(np.abs(x.grad - fd)) / max(1.0, np.max(np.abs(fd)))
         worst_rel = max(worst_rel, rel)

@@ -140,3 +140,18 @@ def test_load_rejects_truncated_payload(tmp_path):
         fh.write(blob[:-8])
     with pytest.raises(ValueError):
         load_checkpoint(path)
+
+
+def test_load_rejects_mask_bits_of_the_wrong_length(tmp_path):
+    path = str(tmp_path / "ck")
+    save_checkpoint(Checkpoint(config={}, params={"w": np.ones((8, 8))},
+                               masks={"w": np.ones((8, 8), dtype=bool)}), path)
+    bits_path = os.path.join(path, "masks.bin")
+    with open(bits_path, "rb") as fh:
+        packed = fh.read()
+    assert len(packed) == 8
+    for wrong in (packed[:2], packed[:-1], packed + b"\xff"):
+        with open(bits_path, "wb") as fh:
+            fh.write(wrong)
+        with pytest.raises(ValueError, match="masks.bin"):
+            load_checkpoint(path)

@@ -6,6 +6,7 @@ import os
 import numpy as np
 import pytest
 
+from gradprune import harness
 from gradprune.harness import (
     METRICS_COLUMNS,
     SENTINEL,
@@ -237,6 +238,27 @@ def test_sweep_aggregates_and_isolates_failures(data, tmp_path):
     # failed children leave their sentinels behind
     child = os.path.join(out, "value=1e+200", "seed=0")
     assert os.path.exists(os.path.join(child, SENTINEL))
+
+
+def test_sweep_runs_every_value_on_an_iterator_of_seeds(data):
+    recipe = make_recipe(sparsity=None, total_epochs=2)
+    result = sweep(recipe, "kd.temperature", [5.5, 2.0], iter([0, 1]), data)
+    assert [(r["num_ok"], r["num_seeds"]) for r in result.rows] == [(2, 2), (2, 2)]
+    assert set(result.runs) == {"5.5/0", "5.5/1", "2.0/0", "2.0/1"}
+
+
+def test_sweep_propagates_harness_invariant_errors(data, monkeypatch):
+    real_prune = harness.magnitude_prune
+
+    def reviving_prune(weights, masks, target, policy):
+        new = real_prune(weights, masks, target, policy)
+        if all(m.all() for m in masks.values()):
+            return new
+        return {name: np.ones_like(m) for name, m in new.items()}
+
+    monkeypatch.setattr(harness, "magnitude_prune", reviving_prune)
+    with pytest.raises(RuntimeError, match="mask shrank"):
+        sweep(make_recipe(), "kd.temperature", [5.5], [0], data)
 
 
 def test_sweep_runs_use_model_seed_from_argument(data):

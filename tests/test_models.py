@@ -195,3 +195,22 @@ def test_evaluate_validates_lengths():
     with pytest.raises(ValueError):
         evaluate(model, np.zeros((4, SMALL.max_sequence_length), dtype=np.int64),
                  np.zeros(3, dtype=np.int64))
+
+
+def test_forward_rows_do_not_depend_on_batch():
+    # evaluate's batch size is a speed choice only: a row's logits must be
+    # bitwise the same whichever rows share its batch
+    data = generate_task(SyntheticTask(train_size=64, val_size=1024))
+    model = TinyEncoder.build(TinyEncoderConfig(num_classes=data.task.num_classes,
+                                                seed=3))
+    tokens = data.val.tokens
+
+    def chunked(size):
+        return np.concatenate([model.forward(tokens[i:i + size]).data
+                               for i in range(0, tokens.shape[0], size)])
+
+    ref = chunked(256)
+    for size in (64, 32, 17):
+        assert chunked(size).tobytes() == ref.tobytes()
+    assert (evaluate(model, tokens, data.val.labels)
+            == evaluate(model, tokens, data.val.labels, batch_size=256))

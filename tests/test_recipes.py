@@ -251,3 +251,61 @@ def test_eval_steps_cover_epoch_ends_and_events():
     for step, _ in t.prune_events:
         assert step in evals
     assert list(t.eval_steps) == sorted(evals)
+
+
+def closed_form_timeline(recipe, spe):
+    """(lr list, event list) from scalar formulas, or None where the recipe
+    does not fit ``spe`` steps per epoch."""
+    total = recipe.total_epochs * spe
+    sp = recipe.sparsity
+    if sp is not None and spe < sp.prune_frequency_per_epoch:
+        return None
+    if recipe.lr.kind == "cyclic":
+        cycle = recipe.lr.cycle_length_epochs * spe
+        if cycle != int(cycle) or cycle < 2:
+            return None
+        cycle, first, last = int(cycle), recipe.lr.initial, recipe.lr.final
+        lr = []
+        for s in range(total):
+            pos = s % cycle
+            if pos == 0:
+                lr.append(first)
+            elif pos == cycle - 1:
+                lr.append(last)
+            else:
+                lr.append(first + (last - first) * (pos / (cycle - 1)))
+    else:
+        lr = [recipe.lr.initial * (1.0 - s / total) for s in range(total)]
+    events = []
+    if sp is not None:
+        epochs = recipe.total_epochs - sp.head_freeze_epochs - sp.tail_freeze_epochs
+        num = sp.prune_frequency_per_epoch * epochs
+        for k in range(num):
+            step = sp.head_freeze_epochs * spe + (k * epochs * spe) // num
+            if k == 0:
+                target = sp.initial_step
+            elif k == num - 1:
+                target = sp.final
+            else:
+                frac = 1.0 - k / (num - 1)
+                target = sp.final + (sp.initial_step - sp.final) * frac * frac * frac
+            events.append((step, target))
+    return lr, events
+
+
+@pytest.mark.parametrize("name", BUNDLED)
+def test_timeline_is_bitwise_the_scalar_closed_form(name):
+    recipe = load_bundled(name)
+    compiled = 0
+    for spe in (2, 4, 8, 16, 17, 200):
+        expected = closed_form_timeline(recipe, spe)
+        if expected is None:
+            with pytest.raises(ValueError):
+                compile_timeline(recipe, spe)
+            continue
+        lr, events = expected
+        t = compile_timeline(recipe, spe)
+        assert t.lr.tobytes() == np.array(lr).tobytes()
+        assert list(t.prune_events) == events
+        compiled += 1
+    assert compiled > 0

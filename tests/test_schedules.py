@@ -1,42 +1,44 @@
-"""Schedule functions: cubic sparsity ramp and recurring linear-decay LR."""
+"""Schedules: the cubic ramp, event placement and LR arrays, plus the rules
+that guard them, which ``parse_recipe`` and ``compile_timeline`` enforce."""
+
+import json
 
 import numpy as np
 import pytest
 
+from gradprune.recipes import (
+    RecipeError,
+    compile_timeline,
+    load_bundled,
+    parse_recipe,
+    serialize_recipe,
+)
 from gradprune.schedules import (
-    LRScheduleParams,
-    SparsityScheduleParams,
     cubic_sparsity,
+    cyclic_lr,
     event_targets,
-    linear_decay_lr,
-    lr_at,
+    linear_decay,
     prune_event_steps,
-    sparsity_at,
 )
 
 
-def downstream_params(steps_per_epoch=16, final=0.97):
-    return SparsityScheduleParams(
-        initial_step=0.70,
-        final=final,
-        total_epochs=10,
-        head_freeze_epochs=2,
-        tail_freeze_epochs=2,
-        prune_frequency_per_epoch=10,
-        steps_per_epoch=steps_per_epoch,
-    )
+def downstream_doc(**sparsity):
+    """downstream-10ep (2 head + 6 pruning + 2 tail epochs, 10 events per
+    epoch) with a 0.97 final target, as a recipe dict."""
+    doc = json.loads(serialize_recipe(load_bundled("downstream-10ep")))
+    doc["sparsity"].update({"final": 0.97, **sparsity})
+    return doc
 
 
-def upstream_params(steps_per_epoch=200):
-    return SparsityScheduleParams(
-        initial_step=0.70,
-        final=0.97,
-        total_epochs=3,
-        head_freeze_epochs=0,
-        tail_freeze_epochs=1,
-        prune_frequency_per_epoch=100,
-        steps_per_epoch=steps_per_epoch,
-    )
+def downstream_timeline(steps_per_epoch=16):
+    return compile_timeline(parse_recipe(downstream_doc()), steps_per_epoch)
+
+
+def target_at(timeline, step):
+    """Target in effect at a step: the latest event's at or before it, 0.0
+    before the first."""
+    fired = [target for s, target in timeline.prune_events if s <= step]
+    return fired[-1] if fired else 0.0
 
 
 # ---------------------------------------------------------------------------
@@ -81,110 +83,97 @@ def test_cubic_rejects_bad_indices():
 
 
 def test_downstream_event_count():
-    params = downstream_params()
-    assert params.num_events == 60
-    assert len(prune_event_steps(params)) == 60
+    assert len(downstream_timeline().prune_events) == 60
 
 
 def test_upstream_event_count_and_final_epoch_clear():
-    params = upstream_params(steps_per_epoch=200)
-    steps = prune_event_steps(params)
+    timeline = compile_timeline(load_bundled("upstream-3ep"), 200)
+    steps = [s for s, _ in timeline.prune_events]
     assert len(steps) == 200
     # tail freeze: nothing in the last epoch
-    assert steps.max() < 2 * 200
+    assert max(steps) < 2 * 200
 
 
 def test_events_follow_floor_rule():
-    params = downstream_params(steps_per_epoch=17)  # not divisible by frequency
-    steps = prune_event_steps(params)
+    # 17 steps per epoch is not divisible by the frequency
     window_start = 2 * 17
     window_steps = 6 * 17
     expected = [window_start + (k * window_steps) // 60 for k in range(60)]
-    assert steps.tolist() == expected
+    assert prune_event_steps(window_start, window_steps, 60).tolist() == expected
+    assert [s for s, _ in downstream_timeline(17).prune_events] == expected
 
 
 def test_events_strictly_increasing_inside_window():
     for spe in (16, 17, 23, 160):
-        params = downstream_params(steps_per_epoch=spe)
-        steps = prune_event_steps(params)
+        steps = np.array([s for s, _ in downstream_timeline(spe).prune_events])
         assert np.all(np.diff(steps) > 0)
-        assert steps[0] == params.window_start
-        assert steps[-1] < params.window_start + params.window_steps
+        assert steps[0] == 2 * spe
+        assert steps[-1] < 8 * spe
 
 
 def test_single_event_schedule_rejected():
-    with pytest.raises(ValueError):
-        SparsityScheduleParams(
-            initial_step=0.7,
-            final=0.97,
-            total_epochs=2,
-            head_freeze_epochs=0,
-            tail_freeze_epochs=1,
-            prune_frequency_per_epoch=1,
-            steps_per_epoch=100,
-        )
+    doc = downstream_doc(head_freeze_epochs=0, tail_freeze_epochs=1,
+                         prune_frequency_per_epoch=1)
+    doc["total_epochs"] = 2
+    with pytest.raises(RecipeError, match="recipe.sparsity"):
+        parse_recipe(doc)
 
 
 def test_param_invariants_rejected():
-    with pytest.raises(ValueError):
-        downstream_params(final=0.70)  # initial_step must stay below final
-    with pytest.raises(ValueError):
-        SparsityScheduleParams(0.7, 0.97, 4, 2, 2, 10, 16)  # no epochs left
-    with pytest.raises(ValueError):
-        downstream_params(steps_per_epoch=9)  # cannot fit 10 events per epoch
+    with pytest.raises(RecipeError):
+        parse_recipe(downstream_doc(final=0.70))  # initial_step must stay below final
+    no_epochs_left = downstream_doc()
+    no_epochs_left["total_epochs"] = 4
+    with pytest.raises(RecipeError, match="freeze windows"):
+        parse_recipe(no_epochs_left)
+    with pytest.raises(ValueError, match="cannot fit"):
+        downstream_timeline(steps_per_epoch=9)  # 10 events per epoch
 
 
 # ---------------------------------------------------------------------------
-# sparsity_at
+# target sparsity in effect at a step
 
 
-def sparsity_oracle(params, step):
+def sparsity_oracle(step, spe, initial=0.70, final=0.97):
     """Independent closed-form target: latest fired event's cubic value."""
+    num_events, window_start, window_steps = 60, 2 * spe, 6 * spe
     fired = -1
-    for k in range(params.num_events):
-        event_step = params.window_start + (k * params.window_steps) // params.num_events
-        if event_step <= step:
+    for k in range(num_events):
+        if window_start + (k * window_steps) // num_events <= step:
             fired = k
     if fired < 0:
         return 0.0
-    frac = 1.0 - fired / (params.num_events - 1)
+    frac = 1.0 - fired / (num_events - 1)
     if fired == 0:
-        return params.initial_step
-    if fired == params.num_events - 1:
-        return params.final
-    return params.final + (params.initial_step - params.final) * frac**3
+        return initial
+    if fired == num_events - 1:
+        return final
+    return final + (initial - final) * frac**3
 
 
 def test_sparsity_at_matches_oracle_every_step():
-    params = downstream_params(steps_per_epoch=17)
-    for step in range(params.total_steps):
-        assert abs(sparsity_at(params, step) - sparsity_oracle(params, step)) <= 1e-12
+    timeline = downstream_timeline(17)
+    for step in range(timeline.total_steps):
+        assert abs(target_at(timeline, step) - sparsity_oracle(step, 17)) <= 1e-12
 
 
 def test_sparsity_boundary_facts():
-    params = downstream_params()
-    assert sparsity_at(params, 0) == 0.0
-    assert sparsity_at(params, params.window_start - 1) == 0.0
-    assert sparsity_at(params, params.window_start) == 0.70
+    timeline = downstream_timeline()
+    window_start = 2 * 16
+    assert target_at(timeline, 0) == 0.0
+    assert target_at(timeline, window_start - 1) == 0.0
+    assert target_at(timeline, window_start) == 0.70
     # everything in the tail freeze already sits at the final target
     for step in range(8 * 16, 10 * 16):
-        assert sparsity_at(params, step) == 0.97
+        assert target_at(timeline, step) == 0.97
 
 
 def test_sparsity_monotone_and_piecewise_constant():
-    params = downstream_params()
-    values = np.array([sparsity_at(params, s) for s in range(params.total_steps)])
+    timeline = downstream_timeline()
+    values = np.array([target_at(timeline, s) for s in range(timeline.total_steps)])
     assert np.all(np.diff(values) >= 0)
-    allowed = {0.0} | set(event_targets(params).tolist())
+    allowed = {0.0} | set(event_targets(0.70, 0.97, 60).tolist())
     assert set(values.tolist()) <= allowed
-
-
-def test_sparsity_at_rejects_out_of_range():
-    params = downstream_params()
-    with pytest.raises(ValueError):
-        sparsity_at(params, -1)
-    with pytest.raises(ValueError):
-        sparsity_at(params, params.total_steps)
 
 
 # ---------------------------------------------------------------------------
@@ -192,43 +181,43 @@ def test_sparsity_at_rejects_out_of_range():
 
 
 def test_lr_cycle_endpoints_exact():
-    params = LRScheduleParams(lr_init=1e-4, lr_final=1e-6, cycle_steps=25, total_steps=125)
+    lr = cyclic_lr(1e-4, 1e-6, cycle_steps=25, total_steps=125)
     for cycle in range(5):
-        assert lr_at(params, cycle * 25) == 1e-4
-        assert lr_at(params, cycle * 25 + 24) == 1e-6
+        assert lr[cycle * 25] == 1e-4
+        assert lr[cycle * 25 + 24] == 1e-6
 
 
 def test_lr_mid_cycle_value():
     # position 12 of 24 is exactly half way: 1e-4 + (1e-6 - 1e-4)/2
-    params = LRScheduleParams(lr_init=1e-4, lr_final=1e-6, cycle_steps=25, total_steps=25)
-    assert abs(lr_at(params, 12) - 5.05e-5) <= 1e-18
+    lr = cyclic_lr(1e-4, 1e-6, cycle_steps=25, total_steps=25)
+    assert abs(lr[12] - 5.05e-5) <= 1e-18
 
 
 def test_lr_strictly_decreasing_within_cycle():
-    params = LRScheduleParams(lr_init=1e-4, lr_final=1e-6, cycle_steps=32, total_steps=96)
+    lr = cyclic_lr(1e-4, 1e-6, cycle_steps=32, total_steps=96)
     for cycle in range(3):
-        vals = [lr_at(params, cycle * 32 + pos) for pos in range(32)]
-        assert np.all(np.diff(vals) < 0)
+        assert np.all(np.diff(lr[cycle * 32:(cycle + 1) * 32]) < 0)
 
 
 def test_lr_matches_linear_interpolation():
-    params = LRScheduleParams(lr_init=5e-4, lr_final=5e-6, cycle_steps=100, total_steps=600)
+    lr = cyclic_lr(5e-4, 5e-6, cycle_steps=100, total_steps=600)
     for step in range(600):
         pos = step % 100
         expected = 5e-4 + (5e-6 - 5e-4) * pos / 99
-        assert abs(lr_at(params, step) - expected) <= 1e-18
+        assert abs(lr[step] - expected) <= 1e-18
 
 
 def test_lr_params_rejected():
-    with pytest.raises(ValueError):
-        LRScheduleParams(lr_init=1e-6, lr_final=1e-4, cycle_steps=10, total_steps=100)
-    with pytest.raises(ValueError):
-        LRScheduleParams(lr_init=1e-4, lr_final=1e-6, cycle_steps=10, total_steps=105)
-    with pytest.raises(ValueError):
-        LRScheduleParams(lr_init=1e-4, lr_final=1e-6, cycle_steps=1, total_steps=10)
-    params = LRScheduleParams(lr_init=1e-4, lr_final=1e-6, cycle_steps=10, total_steps=100)
-    with pytest.raises(ValueError):
-        lr_at(params, 100)
+    # parse_recipe's LR rules are in test_recipes.test_cross_field_rules;
+    # these two depend on steps per epoch
+    doc = downstream_doc()
+    doc["sparsity"] = None
+    doc["lr"]["cycle_length_epochs"] = 0.5
+    recipe = parse_recipe(doc)
+    with pytest.raises(ValueError, match="cycle_steps must be >= 2"):
+        compile_timeline(recipe, 2)  # a 1-step cycle
+    with pytest.raises(ValueError, match="whole number of steps"):
+        compile_timeline(recipe, 3)  # a 1.5-step cycle
 
 
 # ---------------------------------------------------------------------------
@@ -236,15 +225,19 @@ def test_lr_params_rejected():
 
 
 def test_linear_decay_values():
-    assert linear_decay_lr(1.5e-5, 400, 0) == 1.5e-5
-    assert linear_decay_lr(1.5e-5, 400, 400) == 0.0
-    assert abs(linear_decay_lr(1.5e-5, 400, 200) - 7.5e-6) <= 1e-18
+    lr = linear_decay(1.5e-5, 400)
+    assert len(lr) == 400
+    assert lr[0] == 1.5e-5
+    assert abs(lr[200] - 7.5e-6) <= 1e-18
+    # the decay heads for 0 at step 400, one past the last step
+    assert lr[-1] == 1.5e-5 * (1.0 - 399 / 400) > 0.0
 
 
 def test_linear_decay_rejects_bad_input():
-    with pytest.raises(ValueError):
-        linear_decay_lr(0.0, 400, 0)
-    with pytest.raises(ValueError):
-        linear_decay_lr(1.5e-5, 0, 0)
-    with pytest.raises(ValueError):
-        linear_decay_lr(1.5e-5, 400, 401)
+    doc = json.loads(serialize_recipe(load_bundled("upstream-finetune-8ep")))
+    for bad in (0.0, -1.5e-5):
+        doc["lr"]["initial"] = bad
+        with pytest.raises(RecipeError, match="recipe.lr.initial"):
+            parse_recipe(doc)
+    with pytest.raises(ValueError, match="steps_per_epoch"):
+        compile_timeline(load_bundled("upstream-finetune-8ep"), 0)
