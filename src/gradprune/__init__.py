@@ -8,8 +8,8 @@ float64 and is deterministic given its seeds.
 
 from .checkpoint import Checkpoint, load_checkpoint, save_checkpoint
 from .distillation import KDConfig, TeacherHandle, kd_loss_terms
-from .harness import RunResult, TrainingDiverged, run, sweep
-from .models import TinyEncoder, TinyEncoderConfig, evaluate, train_teacher
+from .harness import RunResult, TrainingDiverged, run, sweep, train_teacher
+from .models import TinyEncoder, TinyEncoderConfig, evaluate
 from .pruning import apply_masks, fresh_masks, magnitude_prune, mask_sparsity
 from .recipes import (
     Recipe,
@@ -28,8 +28,8 @@ __version__ = "0.1.0"
 __all__ = [
     "Checkpoint", "load_checkpoint", "save_checkpoint",
     "KDConfig", "TeacherHandle", "kd_loss_terms",
-    "RunResult", "TrainingDiverged", "run", "sweep",
-    "TinyEncoder", "TinyEncoderConfig", "evaluate", "train_teacher",
+    "RunResult", "TrainingDiverged", "run", "sweep", "train_teacher",
+    "TinyEncoder", "TinyEncoderConfig", "evaluate",
     "apply_masks", "fresh_masks", "magnitude_prune", "mask_sparsity",
     "Recipe", "RecipeError", "audit_recipe", "compile_timeline",
     "load_bundled", "parse_recipe",

@@ -24,13 +24,15 @@ import numpy as np
 from .checkpoint import load_checkpoint, save_checkpoint
 from .distillation import DEFAULT_TEMPERATURES, teacher_distribution_stats
 from .harness import (
+    SCHEDULE_COLUMNS,
     TrainingDiverged,
     emit_schedule,
     run,
     sweep,
-    write_schedule_csv,
+    train_teacher,
+    write_csv,
 )
-from .models import TinyEncoderConfig, encoder_from_checkpoint, train_teacher
+from .models import encoder_from_checkpoint
 from .recipes import (
     RecipeError,
     audit_recipe,
@@ -92,11 +94,8 @@ def _parse_values(text: str) -> list:
 
 def _cmd_train_teacher(args) -> int:
     data = generate_task(_task_from_args(args))
-    config = TinyEncoderConfig(num_classes=data.task.num_classes, seed=args.seed)
-    ckpt = train_teacher(
-        data, config, epochs=args.epochs, lr=args.lr,
-        batch_size=args.batch_size, seed=args.seed,
-    )
+    ckpt = train_teacher(data, epochs=args.epochs, lr=args.lr,
+                         batch_size=args.batch_size, seed=args.seed)
     save_checkpoint(ckpt, args.out)
     print(json.dumps({
         "out": args.out,
@@ -137,15 +136,9 @@ def _cmd_sweep(args) -> int:
 def _cmd_emit_schedule(args) -> int:
     recipe = _load_recipe(args.recipe)
     rows = emit_schedule(recipe, args.steps_per_epoch)
+    write_csv(rows, SCHEDULE_COLUMNS, args.out)
     if args.out:
-        write_schedule_csv(rows, args.out)
         print(json.dumps({"out": args.out, "rows": len(rows)}))
-    else:
-        sys.stdout.write("step,lr,target_sparsity\n")
-        for row in rows:
-            sys.stdout.write(
-                f"{row['step']},{row['lr']:.17g},{row['target_sparsity']:.17g}\n"
-            )
     return 0
 
 
@@ -158,15 +151,7 @@ def _cmd_teacher_stats(args) -> int:
     temperatures = ([float(t) for t in args.temperatures.split(",")]
                     if args.temperatures else list(DEFAULT_TEMPERATURES))
     rows = teacher_distribution_stats(logits, temperatures)
-    out = open(args.out, "w", encoding="utf-8", newline="") if args.out else sys.stdout
-    try:
-        out.write("sample_id,temperature,max_prob,entropy\n")
-        for row in rows:
-            out.write(f"{row['sample_id']},{row['temperature']:.17g},"
-                      f"{row['max_prob']:.17g},{row['entropy']:.17g}\n")
-    finally:
-        if args.out:
-            out.close()
+    write_csv(rows, ("sample_id", "temperature", "max_prob", "entropy"), args.out)
     return 0
 
 

@@ -19,6 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .models import encoder_from_checkpoint
 from .tensor import Tensor, log_softmax, mul
 
 DEFAULT_TEMPERATURES = (1.0, 2.0, 5.5)
@@ -133,8 +134,6 @@ class TeacherHandle:
     land on the caller's tape."""
 
     def __init__(self, ckpt):
-        from .models import encoder_from_checkpoint
-
         self.encoder = encoder_from_checkpoint(ckpt, requires_grad=False)
 
     def logits(self, tokens: np.ndarray) -> np.ndarray:

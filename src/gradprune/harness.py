@@ -1,11 +1,13 @@
-"""Training harness: single runs, field sweeps, and schedule dumps.
+"""Training harness: the training step, teacher training, single runs,
+field sweeps, and schedule dumps.
 
-A run takes a recipe, a task, a seed, and (usually) a teacher checkpoint,
-and executes the full loop: forward on a tape, distillation loss, backward,
-masked Adam step, mask re-application, prune events from the compiled
-timeline, and evaluation at epoch ends and prune events. Runs are
-deterministic: the same inputs produce byte-identical metrics and
-checkpoints.
+Every model trains through one step: forward on a tape, distillation loss,
+backward, masked Adam step, mask re-application. A dense teacher is the
+case with hardness 0, no masks and a constant learning rate. A run takes a
+recipe, a task, a seed, and (usually) a teacher checkpoint, and adds prune
+events from the compiled timeline and evaluation at epoch ends and prune
+events. Runs are deterministic: the same inputs produce byte-identical
+metrics and checkpoints.
 
 Output directories get a ``.incomplete`` sentinel file on entry that is
 removed only when the run finishes, so an aborted run is recognizable by
@@ -14,14 +16,15 @@ its leftovers.
 
 from __future__ import annotations
 
-import json
 import os
+import sys
 from dataclasses import dataclass, replace
+from itertools import chain
 
 import numpy as np
 
-from .checkpoint import Checkpoint, save_checkpoint
-from .distillation import TeacherHandle, kd_loss_terms
+from .checkpoint import Checkpoint, _dump_json, save_checkpoint
+from .distillation import KDConfig, TeacherHandle, kd_loss_terms
 from .models import (
     TinyEncoder,
     TinyEncoderConfig,
@@ -39,7 +42,7 @@ from .pruning import (
     zero_masked_grads,
 )
 from .recipes import Recipe, compile_timeline, override_field, recipe_hash
-from .tasks import TaskData, iterate_batches, steps_per_epoch
+from .tasks import Split, TaskData, iterate_batches, steps_per_epoch
 from .tensor import Tape
 
 SENTINEL = ".incomplete"
@@ -48,6 +51,11 @@ METRICS_COLUMNS = (
     "step", "epoch", "lr", "target_sparsity", "achieved_sparsity",
     "train_loss", "ce_term", "kl_term", "val_accuracy",
 )
+TABLE_COLUMNS = ("value", "mean_accuracy", "std_accuracy", "num_ok", "num_seeds")
+SCHEDULE_COLUMNS = ("step", "lr", "target_sparsity")
+
+# The teacher's loss: hardness 0 is plain cross-entropy on the labels.
+TEACHER_KD = KDConfig(hardness=0.0)
 
 
 class TrainingDiverged(RuntimeError):
@@ -73,11 +81,17 @@ def _fmt(x) -> str:
     return str(x)
 
 
-def _write_metrics_csv(rows: list[dict], path: str) -> None:
+def write_csv(rows: list[dict], columns: tuple[str, ...],
+              path: str | None = None) -> None:
+    """Rows under a header line, floats at full precision; stdout when
+    ``path`` is None."""
+    lines = [columns] + [[_fmt(row[c]) for c in columns] for row in rows]
+    text = "".join(",".join(line) + "\n" for line in lines)
+    if path is None:
+        sys.stdout.write(text)
+        return
     with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write(",".join(METRICS_COLUMNS) + "\n")
-        for row in rows:
-            fh.write(",".join(_fmt(row[c]) for c in METRICS_COLUMNS) + "\n")
+        fh.write(text)
 
 
 def _place_sentinel(out_dir: str) -> str:
@@ -86,6 +100,161 @@ def _place_sentinel(out_dir: str) -> str:
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("run in progress or aborted\n")
     return path
+
+
+def _check_classes(config: TinyEncoderConfig, data: TaskData) -> None:
+    if config.num_classes != data.task.num_classes:
+        raise ValueError(
+            f"model num_classes {config.num_classes} does not match "
+            f"task num_classes {data.task.num_classes}"
+        )
+
+
+def _batches(rng: np.random.Generator, n: int, batch_size: int, epochs: int):
+    """(step, row indices) over every epoch's reshuffled full batches."""
+    return enumerate(chain.from_iterable(
+        iterate_batches(rng, n, batch_size) for _ in range(epochs)))
+
+
+def _train_step(model: TinyEncoder, opt: Adam, split: Split, idx: np.ndarray,
+                handle: TeacherHandle | None, kd: KDConfig, lr: float, step: int,
+                params: dict, masks: dict) -> tuple[float, float, float]:
+    """One optimizer step on the batch ``idx``: the loss and its (ce, kl) terms.
+
+    Masked entries get no gradient and are zeroed again after the update,
+    so pruned weights stay exactly 0.0. Non-finite logits or a non-finite
+    loss raise TrainingDiverged before any parameter changes.
+    """
+    tokens = split.tokens[idx]
+    teacher_logits = handle.logits(tokens) if handle is not None else None
+    with Tape() as tape:
+        logits = model.forward(tokens)
+        if not np.all(np.isfinite(logits.data)):
+            raise TrainingDiverged(step)
+        loss, ce_term, kl_term = kd_loss_terms(
+            logits, teacher_logits, split.labels[idx], kd
+        )
+    loss_value = float(loss.data)
+    if not np.isfinite(loss_value):
+        raise TrainingDiverged(step)
+    tape.backward(loss)
+    zero_masked_grads(params, masks)
+    opt.step(lr)
+    apply_masks(params, masks)
+    return loss_value, ce_term, kl_term
+
+
+def train_teacher(data: TaskData, config: TinyEncoderConfig | None = None, *,
+                  epochs: int = 5, lr: float = 1e-3, batch_size: int = 32,
+                  seed: int = 0) -> Checkpoint:
+    """Train a dense teacher with plain cross-entropy and a constant lr.
+
+    Returns a checkpoint whose metadata records the final validation
+    accuracy. Divergence (non-finite logits or loss) raises TrainingDiverged
+    immediately rather than letting garbage propagate into downstream runs.
+    """
+    if config is None:
+        config = TinyEncoderConfig(num_classes=data.task.num_classes, seed=seed)
+    _check_classes(config, data)
+    model = TinyEncoder.build(config)
+    opt = Adam(model.params, weight_decay=0.0)
+    rng = np.random.Generator(np.random.PCG64(seed))
+    n_train = data.train.tokens.shape[0]
+    for step, idx in _batches(rng, n_train, batch_size, epochs):
+        _train_step(model, opt, data.train, idx, None, TEACHER_KD, lr, step, {}, {})
+    return model.to_checkpoint(metadata={
+        "role": "teacher",
+        "epochs": epochs,
+        "lr": lr,
+        "batch_size": batch_size,
+        "seed": seed,
+        "steps": epochs * steps_per_epoch(n_train, batch_size),
+        "val_accuracy": evaluate(model, data.val.tokens, data.val.labels),
+    })
+
+
+def _init_student(recipe: Recipe, data: TaskData, seed: int,
+                  teacher: Checkpoint | None, init: Checkpoint | None,
+                  model_config: TinyEncoderConfig | None):
+    """The student, its prunable tensors, and their starting masks (the init
+    checkpoint's, else all ones), already applied."""
+    if recipe.stage == "upstream-finetune" and init is None:
+        raise ValueError(
+            "upstream-finetune runs need an init checkpoint (the mask source)"
+        )
+    if init is not None:
+        source = init.metadata.get("recipe")
+        if recipe.mask_source is not None and source != recipe.mask_source:
+            raise ValueError(
+                f"recipe mask_source {recipe.mask_source!r} does not match the "
+                f"init checkpoint's recipe {source!r}"
+            )
+        student = encoder_from_checkpoint(init, requires_grad=True)
+    elif teacher is not None:
+        student = encoder_from_checkpoint(teacher, requires_grad=True)
+    else:
+        if model_config is None:
+            model_config = TinyEncoderConfig(num_classes=data.task.num_classes)
+        student = TinyEncoder.build(replace(model_config, seed=seed))
+    _check_classes(student.config, data)
+
+    prunable = {
+        name: student.params[name]
+        for name in prunable_parameter_names(student.parameter_names())
+    }
+    masks = fresh_masks({n: p.data for n, p in prunable.items()})
+    if init is not None:
+        for name, mask in (init.masks or {}).items():
+            if name not in masks:
+                raise ValueError(f"init checkpoint masks a non-prunable tensor {name!r}")
+            masks[name] = mask.copy()
+    apply_masks(prunable, masks)
+    return student, prunable, masks
+
+
+def _prune_event(step: int, target: float, current_target: float,
+                 params: dict, masks: dict, policy: str) -> dict:
+    """Prune ``params`` to ``target`` at ``step`` and return the new masks;
+    a broken harness invariant raises."""
+    if target < current_target:
+        raise RuntimeError(
+            f"prune target regressed at step {step}: "
+            f"{target} after {current_target}"
+        )
+    weights = {n: p.data for n, p in params.items()}
+    new_masks = magnitude_prune(weights, masks, target, policy)
+    if not masks_subset_of(masks, new_masks):
+        raise RuntimeError(f"mask shrank at step {step}")
+    apply_masks(params, new_masks)
+    return new_masks
+
+
+def _summary(recipe: Recipe, seed: int, spe: int, timeline, rows: list[dict],
+             target: float, masks: dict) -> dict:
+    accs = [r["val_accuracy"] for r in rows]
+    return {
+        "recipe": recipe.name,
+        "recipe_hash": recipe_hash(recipe),
+        "stage": recipe.stage,
+        "seed": seed,
+        "steps_per_epoch": spe,
+        "total_steps": timeline.total_steps,
+        "num_prune_events": len(timeline.prune_events),
+        "final_val_accuracy": accs[-1],
+        "best_val_accuracy": max(accs),
+        "final_target_sparsity": target,
+        "achieved_sparsity": mask_sparsity(masks),
+        "kd_hardness": recipe.kd.hardness,
+        "kd_temperature": recipe.kd.temperature,
+        "kd_scale_by_t_squared": recipe.kd.scale_kl_by_t_squared,
+    }
+
+
+def _persist(out_dir: str, rows: list[dict], summary: dict, ckpt: Checkpoint) -> None:
+    write_csv(rows, METRICS_COLUMNS, os.path.join(out_dir, "metrics.csv"))
+    _dump_json(summary, os.path.join(out_dir, "summary.json"))
+    save_checkpoint(ckpt, os.path.join(out_dir, "checkpoint"))
+    os.remove(os.path.join(out_dir, SENTINEL))
 
 
 def run(
@@ -101,12 +270,13 @@ def run(
     """Execute one training run of a recipe on a task.
 
     Student initialization, in order of precedence: ``init`` checkpoint
-    (which also supplies fixed masks, as in the upstream-finetune stage),
-    else the teacher's weights (the desk-scale stand-in for starting from a
+    (which also supplies fixed masks, as in the upstream-finetune stage, and
+    must come from the recipe's ``mask_source`` when it names one), else the
+    teacher's weights (the desk-scale stand-in for starting from a
     pretrained model), else fresh random parameters seeded by ``seed``.
     """
-    sentinel = _place_sentinel(out_dir) if out_dir is not None else None
-
+    if out_dir is not None:
+        _place_sentinel(out_dir)
     n_train = data.train.tokens.shape[0]
     spe = steps_per_epoch(n_train, recipe.batch_size)
     if spe < 1:
@@ -114,135 +284,46 @@ def run(
             f"batch_size {recipe.batch_size} exceeds training set size {n_train}"
         )
     timeline = compile_timeline(recipe, spe)
-
-    if recipe.stage == "upstream-finetune" and init is None:
-        raise ValueError(
-            "upstream-finetune runs need an init checkpoint (the mask source)"
-        )
-    if init is not None:
-        student = encoder_from_checkpoint(init, requires_grad=True)
-        source_masks = init.masks or {}
-    elif teacher is not None:
-        student = encoder_from_checkpoint(teacher, requires_grad=True)
-        source_masks = {}
-    else:
-        if model_config is None:
-            model_config = TinyEncoderConfig(num_classes=data.task.num_classes)
-        student = TinyEncoder.build(replace(model_config, seed=seed))
-        source_masks = {}
-    if student.config.num_classes != data.task.num_classes:
-        raise ValueError(
-            f"model num_classes {student.config.num_classes} does not match "
-            f"task num_classes {data.task.num_classes}"
-        )
-
-    prunable = {
-        name: student.params[name]
-        for name in prunable_parameter_names(student.parameter_names())
-    }
-    masks = fresh_masks({n: p.data for n, p in prunable.items()})
-    for name, mask in source_masks.items():
-        if name not in masks:
-            raise ValueError(f"init checkpoint masks a non-prunable tensor {name!r}")
-        masks[name] = mask.copy()
-    policy = recipe.sparsity.policy if recipe.sparsity is not None else "uniform"
-
-    needs_teacher = recipe.kd.hardness > 0.0
-    if needs_teacher and teacher is None:
+    student, prunable, masks = _init_student(recipe, data, seed, teacher, init,
+                                             model_config)
+    if recipe.kd.hardness > 0.0 and teacher is None:
         raise ValueError("recipe has kd.hardness > 0 but no teacher was given")
-    handle = TeacherHandle(teacher) if needs_teacher else None
-
+    handle = TeacherHandle(teacher) if recipe.kd.hardness > 0.0 else None
+    policy = recipe.sparsity.policy if recipe.sparsity is not None else "uniform"
     opt = Adam(student.params, weight_decay=recipe.weight_decay)
     rng = np.random.Generator(np.random.PCG64(seed))
     events = dict(timeline.prune_events)
     eval_at = set(timeline.eval_steps)
-
-    apply_masks(prunable, masks)
-    weight_views = {n: p.data for n, p in prunable.items()}
     rows: list[dict] = []
-    current_target = 0.0
-    step = 0
-    for _ in range(recipe.total_epochs):
-        for idx in iterate_batches(rng, n_train, recipe.batch_size):
-            tokens = data.train.tokens[idx]
-            labels = data.train.labels[idx]
-            teacher_logits = handle.logits(tokens) if handle is not None else None
-            with Tape() as tape:
-                logits = student.forward(tokens)
-                if not np.all(np.isfinite(logits.data)):
-                    raise TrainingDiverged(step)
-                loss, ce_term, kl_term = kd_loss_terms(
-                    logits, teacher_logits, labels, recipe.kd
-                )
-            loss_value = float(loss.data)
-            if not np.isfinite(loss_value):
-                raise TrainingDiverged(step)
-            tape.backward(loss)
-            zero_masked_grads(prunable, masks)
-            opt.step(float(timeline.lr[step]))
-            apply_masks(prunable, masks)
+    target = 0.0
+    for step, idx in _batches(rng, n_train, recipe.batch_size, recipe.total_epochs):
+        lr = float(timeline.lr[step])
+        loss, ce_term, kl_term = _train_step(student, opt, data.train, idx, handle,
+                                             recipe.kd, lr, step, prunable, masks)
+        if step in events:
+            masks = _prune_event(step, events[step], target, prunable, masks, policy)
+            target = events[step]
+        if step in eval_at:
+            rows.append({
+                "step": step,
+                "epoch": (step + 1) / spe,
+                "lr": lr,
+                "target_sparsity": target,
+                "achieved_sparsity": mask_sparsity(masks),
+                "train_loss": loss,
+                "ce_term": ce_term,
+                "kl_term": kl_term,
+                "val_accuracy": evaluate(student, data.val.tokens, data.val.labels),
+            })
 
-            if step in events:
-                target = events[step]
-                if target < current_target:
-                    raise RuntimeError(
-                        f"prune target regressed at step {step}: "
-                        f"{target} after {current_target}"
-                    )
-                new_masks = magnitude_prune(weight_views, masks, target, policy)
-                if not masks_subset_of(masks, new_masks):
-                    raise RuntimeError(f"mask shrank at step {step}")
-                masks = new_masks
-                apply_masks(prunable, masks)
-                current_target = target
-
-            if step in eval_at:
-                rows.append({
-                    "step": step,
-                    "epoch": (step + 1) / spe,
-                    "lr": float(timeline.lr[step]),
-                    "target_sparsity": current_target,
-                    "achieved_sparsity": mask_sparsity(masks),
-                    "train_loss": loss_value,
-                    "ce_term": ce_term,
-                    "kl_term": kl_term,
-                    "val_accuracy": evaluate(student, data.val.tokens, data.val.labels),
-                })
-            step += 1
-
-    accs = [r["val_accuracy"] for r in rows]
-    summary = {
-        "recipe": recipe.name,
-        "recipe_hash": recipe_hash(recipe),
-        "stage": recipe.stage,
-        "seed": seed,
-        "steps_per_epoch": spe,
-        "total_steps": timeline.total_steps,
-        "num_prune_events": len(timeline.prune_events),
-        "final_val_accuracy": accs[-1],
-        "best_val_accuracy": max(accs),
-        "final_target_sparsity": current_target,
-        "achieved_sparsity": mask_sparsity(masks),
-        "kd_hardness": recipe.kd.hardness,
-        "kd_temperature": recipe.kd.temperature,
-        "kd_scale_by_t_squared": recipe.kd.scale_kl_by_t_squared,
-    }
+    summary = _summary(recipe, seed, spe, timeline, rows, target, masks)
     has_any_mask = any(not m.all() for m in masks.values())
-    ckpt = student.to_checkpoint(
-        masks=masks if has_any_mask else None,
-        metadata={"role": "student", **summary},
-    )
-    result = RunResult(recipe=recipe, seed=seed, rows=rows, summary=summary,
-                       checkpoint=ckpt)
-
+    ckpt = student.to_checkpoint(masks=masks if has_any_mask else None,
+                                 metadata={"role": "student", **summary})
     if out_dir is not None:
-        _write_metrics_csv(rows, os.path.join(out_dir, "metrics.csv"))
-        with open(os.path.join(out_dir, "summary.json"), "w", encoding="utf-8") as fh:
-            json.dump(summary, fh, sort_keys=True, indent=2)
-            fh.write("\n")
-        save_checkpoint(ckpt, os.path.join(out_dir, "checkpoint"))
-        os.remove(sentinel)
-    return result
+        _persist(out_dir, rows, summary, ckpt)
+    return RunResult(recipe=recipe, seed=seed, rows=rows, summary=summary,
+                     checkpoint=ckpt)
 
 
 @dataclass
@@ -301,17 +382,9 @@ def sweep(
         })
     result = SweepResult(field=field, rows=rows, runs=runs, errors=errors)
     if out_dir is not None:
-        table = os.path.join(out_dir, "table.csv")
-        with open(table, "w", encoding="utf-8", newline="") as fh:
-            fh.write("value,mean_accuracy,std_accuracy,num_ok,num_seeds\n")
-            for row in rows:
-                fh.write(",".join(_fmt(row[c]) for c in
-                                  ("value", "mean_accuracy", "std_accuracy",
-                                   "num_ok", "num_seeds")) + "\n")
+        write_csv(rows, TABLE_COLUMNS, os.path.join(out_dir, "table.csv"))
         if errors:
-            with open(os.path.join(out_dir, "errors.json"), "w", encoding="utf-8") as fh:
-                json.dump(errors, fh, sort_keys=True, indent=2)
-                fh.write("\n")
+            _dump_json(errors, os.path.join(out_dir, "errors.json"))
         os.remove(sentinel)
     return result
 
@@ -331,10 +404,3 @@ def emit_schedule(recipe: Recipe, steps_per_epoch: int) -> list[dict]:
             "target_sparsity": target,
         })
     return rows
-
-
-def write_schedule_csv(rows: list[dict], path: str) -> None:
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write("step,lr,target_sparsity\n")
-        for row in rows:
-            fh.write(f"{row['step']},{_fmt(row['lr'])},{_fmt(row['target_sparsity'])}\n")

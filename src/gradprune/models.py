@@ -22,7 +22,6 @@ import numpy as np
 
 from .checkpoint import Checkpoint
 from .tensor import (
-    Tape,
     Tensor,
     embedding,
     gelu,
@@ -86,14 +85,6 @@ def parameter_shapes(config: TinyEncoderConfig) -> dict[str, tuple[int, ...]]:
     shapes["head.classifier.weight"] = (d, config.num_classes)
     shapes["head.classifier.bias"] = (config.num_classes,)
     return shapes
-
-
-def parameter_group(name: str) -> str:
-    """Which of the three top-level groups a parameter belongs to."""
-    group = name.split(".", 1)[0]
-    if group not in ("embedding", "encoder", "head"):
-        raise ValueError(f"unrecognized parameter name {name!r}")
-    return group
 
 
 def prunable_parameter_names(names) -> list[str]:
@@ -248,48 +239,3 @@ def evaluate(model: TinyEncoder, tokens: np.ndarray, labels: np.ndarray,
         correct += int((pred == labels[start:start + batch_size]).sum())
     return correct / tokens.shape[0]
 
-
-def train_teacher(data, config: TinyEncoderConfig | None = None, *,
-                  epochs: int = 5, lr: float = 1e-3, batch_size: int = 32,
-                  seed: int = 0) -> Checkpoint:
-    """Train a dense teacher with plain cross-entropy and a constant lr.
-
-    Returns a checkpoint whose metadata records the final validation
-    accuracy. Divergence (a non-finite loss) raises immediately rather than
-    letting garbage propagate into downstream runs.
-    """
-    from .distillation import cross_entropy  # local import, avoids a cycle
-    from .optim import Adam
-    from .tasks import iterate_batches
-
-    if config is None:
-        config = TinyEncoderConfig(num_classes=data.task.num_classes, seed=seed)
-    if config.num_classes != data.task.num_classes:
-        raise ValueError(
-            f"model num_classes {config.num_classes} does not match task "
-            f"num_classes {data.task.num_classes}"
-        )
-    model = TinyEncoder.build(config)
-    opt = Adam(model.params, weight_decay=0.0)
-    rng = np.random.Generator(np.random.PCG64(seed))
-    step = 0
-    for _ in range(epochs):
-        for idx in iterate_batches(rng, data.train.tokens.shape[0], batch_size):
-            with Tape() as tape:
-                logits = model.forward(data.train.tokens[idx])
-                loss = cross_entropy(logits, data.train.labels[idx])
-            if not np.isfinite(loss.data):
-                raise RuntimeError(f"teacher training diverged at step {step}")
-            tape.backward(loss)
-            opt.step(lr)
-            step += 1
-    val_accuracy = evaluate(model, data.val.tokens, data.val.labels)
-    return model.to_checkpoint(metadata={
-        "role": "teacher",
-        "epochs": epochs,
-        "lr": lr,
-        "batch_size": batch_size,
-        "seed": seed,
-        "steps": step,
-        "val_accuracy": val_accuracy,
-    })

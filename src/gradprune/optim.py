@@ -37,10 +37,6 @@ class Adam:
         self._v = {n: np.zeros_like(params[n].data) for n in self._names}
         self._step_count = 0
 
-    @property
-    def step_count(self) -> int:
-        return self._step_count
-
     def step(self, lr: float) -> None:
         """Apply one update with the given learning rate and clear gradients."""
         if lr < 0.0:

@@ -46,6 +46,26 @@ def _check_aligned(weights: dict[str, np.ndarray], masks: dict[str, np.ndarray])
             )
 
 
+def _drop_smallest(values: np.ndarray, alive: np.ndarray, quota: int,
+                   target: float, where: str) -> np.ndarray:
+    """A copy of the flat ``alive`` mask of one pool with enough of its
+    smallest surviving magnitudes masked to leave ``quota`` zeros; ties go
+    to the lower flat index."""
+    masked = alive.size - int(alive.sum())
+    needed = quota - masked
+    if needed < 0:
+        raise ValueError(
+            f"target {target} asks for {quota} zeros{where} but {masked} are "
+            f"already masked; masks never shrink"
+        )
+    new = alive.copy()
+    if needed > 0:
+        alive_idx = np.flatnonzero(alive)
+        order = np.argsort(np.abs(values[alive_idx]), kind="stable")
+        new[alive_idx[order[:needed]]] = False
+    return new
+
+
 def magnitude_prune(
     weights: dict[str, np.ndarray],
     masks: dict[str, np.ndarray],
@@ -66,41 +86,17 @@ def magnitude_prune(
     _check_aligned(weights, masks)
 
     if policy == "uniform":
-        new_masks = {}
-        for name, w in weights.items():
-            alive = masks[name].ravel()
-            quota = _round_half_up(target * w.size)
-            needed = quota - (w.size - int(alive.sum()))
-            if needed < 0:
-                raise ValueError(
-                    f"target {target} asks for {quota} zeros in {name} but "
-                    f"{w.size - int(alive.sum())} are already masked; masks "
-                    f"never shrink"
-                )
-            new = alive.copy()
-            if needed > 0:
-                alive_idx = np.flatnonzero(alive)
-                order = np.argsort(np.abs(w.ravel())[alive_idx], kind="stable")
-                new[alive_idx[order[:needed]]] = False
-            new_masks[name] = new.reshape(w.shape)
-        return new_masks
-
+        return {
+            name: _drop_smallest(w.ravel(), masks[name].ravel(),
+                                 _round_half_up(target * w.size), target,
+                                 f" in {name}").reshape(w.shape)
+            for name, w in weights.items()
+        }
     names = list(weights.keys())
-    mags = np.concatenate([np.abs(weights[n].ravel()) for n in names])
+    values = np.concatenate([weights[n].ravel() for n in names])
     alive = np.concatenate([masks[n].ravel() for n in names])
-    total = mags.size
-    quota = int(math.floor(target * total))
-    needed = quota - (total - int(alive.sum()))
-    if needed < 0:
-        raise ValueError(
-            f"target {target} asks for {quota} zeros but "
-            f"{total - int(alive.sum())} are already masked; masks never shrink"
-        )
-    new = alive.copy()
-    if needed > 0:
-        alive_idx = np.flatnonzero(alive)
-        order = np.argsort(mags[alive_idx], kind="stable")
-        new[alive_idx[order[:needed]]] = False
+    new = _drop_smallest(values, alive, int(math.floor(target * values.size)),
+                         target, "")
     new_masks = {}
     offset = 0
     for name in names:

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from importlib import resources
 
 import numpy as np
@@ -66,47 +66,22 @@ class Recipe:
     mask_source: str | None
 
     def to_dict(self) -> dict:
-        lr: dict = {"kind": self.lr.kind, "initial": self.lr.initial}
-        if self.lr.kind == "cyclic":
-            lr["final"] = self.lr.final
-            lr["cycle_length_epochs"] = self.lr.cycle_length_epochs
-        sparsity = None
-        if self.sparsity is not None:
-            sparsity = {
-                "initial_step": self.sparsity.initial_step,
-                "final": self.sparsity.final,
-                "head_freeze_epochs": self.sparsity.head_freeze_epochs,
-                "tail_freeze_epochs": self.sparsity.tail_freeze_epochs,
-                "prune_frequency_per_epoch": self.sparsity.prune_frequency_per_epoch,
-                "policy": self.sparsity.policy,
-            }
-        return {
-            "name": self.name,
-            "stage": self.stage,
-            "total_epochs": self.total_epochs,
-            "batch_size": self.batch_size,
-            "weight_decay": self.weight_decay,
-            "seeds": list(self.seeds),
-            "lr": lr,
-            "sparsity": sparsity,
-            "kd": {
-                "hardness": self.kd.hardness,
-                "temperature": self.kd.temperature,
-                "scale_kl_by_t_squared": self.kd.scale_kl_by_t_squared,
-            },
-            "mask_source": self.mask_source,
-        }
+        out = asdict(self)
+        out["seeds"] = list(self.seeds)
+        out["lr"] = {k: v for k, v in out["lr"].items() if v is not None}
+        return out
 
 
 def _fail(path: str, message: str):
     raise RecipeError(f"{path}: {message}")
 
 
-def _expect_keys(obj: dict, allowed: set[str], required: set[str], path: str) -> None:
-    unknown = set(obj) - allowed
+def _expect_keys(obj: dict, keys: set[str], path: str) -> None:
+    """Exactly ``keys``: an unknown key fails first, then a missing one."""
+    unknown = set(obj) - keys
     if unknown:
         _fail(path, f"unknown key {sorted(unknown)[0]!r}")
-    missing = required - set(obj)
+    missing = keys - set(obj)
     if missing:
         _fail(path, f"missing key {sorted(missing)[0]!r}")
 
@@ -141,7 +116,7 @@ def parse_recipe(source) -> Recipe:
 
     top = {"name", "stage", "total_epochs", "batch_size", "weight_decay",
            "seeds", "lr", "sparsity", "kd", "mask_source"}
-    _expect_keys(obj, top, top, "recipe")
+    _expect_keys(obj, top, "recipe")
 
     name = obj["name"]
     if not isinstance(name, str) or not name:
@@ -172,7 +147,7 @@ def parse_recipe(source) -> Recipe:
         _fail("recipe.lr.kind", f"unknown kind {kind!r}, expected one of {LR_KINDS}")
     if kind == "cyclic":
         _expect_keys(lr_obj, {"kind", "initial", "final", "cycle_length_epochs"},
-                     {"kind", "initial", "final", "cycle_length_epochs"}, "recipe.lr")
+                     "recipe.lr")
         initial = _expect_number(lr_obj, "initial", "recipe.lr")
         final = _expect_number(lr_obj, "final", "recipe.lr")
         cycle = _expect_number(lr_obj, "cycle_length_epochs", "recipe.lr")
@@ -187,7 +162,7 @@ def parse_recipe(source) -> Recipe:
         lr = LRSpec(kind="cyclic", initial=initial, final=final,
                     cycle_length_epochs=cycle)
     else:
-        _expect_keys(lr_obj, {"kind", "initial"}, {"kind", "initial"}, "recipe.lr")
+        _expect_keys(lr_obj, {"kind", "initial"}, "recipe.lr")
         initial = _expect_number(lr_obj, "initial", "recipe.lr")
         if initial <= 0.0:
             _fail("recipe.lr.initial", f"must be > 0, got {initial}")
@@ -200,7 +175,7 @@ def parse_recipe(source) -> Recipe:
             _fail("recipe.sparsity", "expected an object or null")
         keys = {"initial_step", "final", "head_freeze_epochs", "tail_freeze_epochs",
                 "prune_frequency_per_epoch", "policy"}
-        _expect_keys(sparsity_obj, keys, keys, "recipe.sparsity")
+        _expect_keys(sparsity_obj, keys, "recipe.sparsity")
         initial_step = _expect_number(sparsity_obj, "initial_step", "recipe.sparsity")
         final = _expect_number(sparsity_obj, "final", "recipe.sparsity")
         head = _expect_int(sparsity_obj, "head_freeze_epochs", "recipe.sparsity", minimum=0)
@@ -233,7 +208,7 @@ def parse_recipe(source) -> Recipe:
     if not isinstance(kd_obj, dict):
         _fail("recipe.kd", "expected an object")
     kd_keys = {"hardness", "temperature", "scale_kl_by_t_squared"}
-    _expect_keys(kd_obj, kd_keys, kd_keys, "recipe.kd")
+    _expect_keys(kd_obj, kd_keys, "recipe.kd")
     hardness = _expect_number(kd_obj, "hardness", "recipe.kd")
     temperature = _expect_number(kd_obj, "temperature", "recipe.kd")
     scale_flag = kd_obj["scale_kl_by_t_squared"]

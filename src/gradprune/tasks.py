@@ -1,6 +1,6 @@
 """Synthetic sequence-classification tasks with known structure.
 
-The default task ("marker-sum") hides two marker tokens at random positions
+The task ("marker-sum") hides two marker tokens at random positions
 in a filler sequence; the label is the sum of their values modulo the class
 count. The label is a deterministic function of the sequence, so a perfect
 model exists (Bayes accuracy 1.0), and class balance is exact by
@@ -39,12 +39,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-TASK_KINDS = ("marker-sum",)
-
 
 @dataclass(frozen=True)
 class SyntheticTask:
-    kind: str = "marker-sum"
     num_classes: int = 4
     sequence_length: int = 16
     vocab_size: int = 64
@@ -55,8 +52,6 @@ class SyntheticTask:
     seed: int = 7
 
     def __post_init__(self):
-        if self.kind not in TASK_KINDS:
-            raise ValueError(f"unknown task kind {self.kind!r}, expected one of {TASK_KINDS}")
         if self.num_classes < 2:
             raise ValueError(f"num_classes must be >= 2, got {self.num_classes}")
         if self.sequence_length < 2:

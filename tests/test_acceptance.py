@@ -23,8 +23,8 @@ from gradprune.distillation import (
     kd_loss_terms,
     soften,
 )
-from gradprune.harness import run
-from gradprune.models import TinyEncoderConfig, train_teacher
+from gradprune.harness import run, train_teacher
+from gradprune.models import TinyEncoderConfig
 from gradprune.pruning import fresh_masks, magnitude_prune
 from gradprune.recipes import (
     audit_recipe,

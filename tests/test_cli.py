@@ -20,6 +20,18 @@ def teacher_dir(tmp_path_factory):
     return out
 
 
+def test_train_teacher_divergence_reports_step(tmp_path, capsys):
+    out = str(tmp_path / "teacher")
+    with np.errstate(over="ignore", invalid="ignore"):
+        code = main(["train-teacher", "--out", out, "--epochs", "1",
+                     "--lr", "1e200", *TASK_ARGS])
+    assert code == 1
+    record = json.loads(capsys.readouterr().err)
+    assert record["error"] == "training-diverged"
+    assert record["step"] >= 1
+    assert not os.path.exists(out)
+
+
 def test_validate_recipe_bundled_is_clean(capsys):
     assert main(["validate-recipe", "--recipe", "downstream-10ep"]) == 0
     report = json.loads(capsys.readouterr().out)

@@ -9,14 +9,16 @@ import pytest
 from gradprune import harness
 from gradprune.harness import (
     METRICS_COLUMNS,
+    SCHEDULE_COLUMNS,
     SENTINEL,
     TrainingDiverged,
     emit_schedule,
     run,
     sweep,
-    write_schedule_csv,
+    train_teacher,
+    write_csv,
 )
-from gradprune.models import TinyEncoderConfig, train_teacher
+from gradprune.models import TinyEncoderConfig
 from gradprune.recipes import compile_timeline, override_field, parse_recipe
 from gradprune.tasks import SyntheticTask, generate_task
 
@@ -200,6 +202,26 @@ def test_finetune_keeps_masks_fixed(data, tmp_path):
         assert np.all(result.checkpoint.params[name][~mask] == 0.0)
 
 
+@pytest.mark.parametrize("init_recipe", ["tiny-test", None])
+def test_finetune_init_must_come_from_the_mask_source(data, teacher, init_recipe):
+    # a pruned student records its recipe; a teacher checkpoint records none
+    if init_recipe is None:
+        init = teacher
+    else:
+        init = run(make_recipe(), data, seed=0, model_config=MODEL).checkpoint
+    finetune = make_recipe(
+        name="tiny-finetune",
+        stage="upstream-finetune",
+        sparsity=None,
+        lr={"kind": "linear", "initial": 1e-3},
+        mask_source="upstream-3ep",
+    )
+    with pytest.raises(ValueError, match="mask_source") as info:
+        run(finetune, data, seed=0, init=init)
+    assert "'upstream-3ep'" in str(info.value)
+    assert repr(init_recipe) in str(info.value)
+
+
 def test_finetune_without_init_is_an_error(data):
     finetune = make_recipe(
         stage="upstream-finetune",
@@ -284,7 +306,7 @@ def test_emit_schedule_matches_timeline(tmp_path):
     assert rows[-1]["target_sparsity"] == 0.75
 
     path = str(tmp_path / "schedule.csv")
-    write_schedule_csv(rows, path)
+    write_csv(rows, SCHEDULE_COLUMNS, path)
     with open(path) as fh:
         lines = fh.read().splitlines()
     assert lines[0] == "step,lr,target_sparsity"

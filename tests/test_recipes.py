@@ -1,5 +1,6 @@
 """Recipe parsing, auditing against the reference constants, and timelines."""
 
+import hashlib
 import json
 
 import numpy as np
@@ -103,6 +104,24 @@ def test_serialize_parse_round_trip_is_fixed_point():
         assert again == recipe
         assert serialize_recipe(again) == text
         assert recipe_hash(again) == recipe_hash(recipe)
+
+
+# sha256 of each bundled recipe's canonical text; run summaries record it, so
+# a change in how recipes serialize would change every run directory
+PINNED_HASHES = {
+    "downstream-10ep": "a96fd2ba6799455a3b7acaab8ae92b086224b5af22edd1ccef645e84fab6d9ce",
+    "downstream-30ep": "386e353c2e7658c213993efe7749f465a288295f9f47241d91c5998968a4da81",
+    "upstream-3ep": "904398e004e3d6c4bc0789c82cff1cd27dab8b0e5eadf1d9d4bb77f009b7f0c5",
+    "upstream-finetune-8ep": "2e74b49c53e7d1647e5fd8c085ae531fd8c5103fdc47a154834d32041d25ff0b",
+}
+
+
+@pytest.mark.parametrize("name", sorted(PINNED_HASHES))
+def test_serialized_text_and_hash_are_pinned(name):
+    recipe = load_bundled(name)
+    text = serialize_recipe(recipe).encode("utf-8")
+    assert hashlib.sha256(text).hexdigest() == PINNED_HASHES[name]
+    assert recipe_hash(recipe) == PINNED_HASHES[name]
 
 
 def test_hash_tracks_content_not_identity():

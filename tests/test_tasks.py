@@ -81,8 +81,6 @@ def test_degenerate_specs_rejected():
     with pytest.raises(ValueError):
         SyntheticTask(num_classes=1)
     with pytest.raises(ValueError):
-        SyntheticTask(kind="parity")
-    with pytest.raises(ValueError):
         SyntheticTask(vocab_size=8, num_classes=4)  # markers would not fit
     with pytest.raises(ValueError):
         SyntheticTask(sequence_length=1)
