@@ -19,10 +19,12 @@ import argparse
 import json
 import sys
 
-import numpy as np
-
 from .checkpoint import load_checkpoint, save_checkpoint
-from .distillation import DEFAULT_TEMPERATURES, teacher_distribution_stats
+from .distillation import (
+    DEFAULT_TEMPERATURES,
+    TeacherHandle,
+    teacher_distribution_stats,
+)
 from .harness import (
     SCHEDULE_COLUMNS,
     TrainingDiverged,
@@ -32,7 +34,6 @@ from .harness import (
     train_teacher,
     write_csv,
 )
-from .models import encoder_from_checkpoint
 from .recipes import (
     RecipeError,
     audit_recipe,
@@ -143,11 +144,9 @@ def _cmd_emit_schedule(args) -> int:
 
 
 def _cmd_teacher_stats(args) -> int:
-    ckpt = load_checkpoint(args.teacher)
-    encoder = encoder_from_checkpoint(ckpt, requires_grad=False)
+    handle = TeacherHandle(load_checkpoint(args.teacher))
     data = generate_task(_task_from_args(args))
-    tokens = data.val.tokens[:args.limit]
-    logits = encoder.forward(tokens).data
+    logits = handle.logits(data.val.tokens[:args.limit])
     temperatures = ([float(t) for t in args.temperatures.split(",")]
                     if args.temperatures else list(DEFAULT_TEMPERATURES))
     rows = teacher_distribution_stats(logits, temperatures)

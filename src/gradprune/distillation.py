@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .models import encoder_from_checkpoint
+from .models import encoder_from_checkpoint, predict
 from .tensor import Tensor, log_softmax, mul
 
 DEFAULT_TEMPERATURES = (1.0, 2.0, 5.5)
@@ -137,7 +137,9 @@ class TeacherHandle:
         self.encoder = encoder_from_checkpoint(ckpt, requires_grad=False)
 
     def logits(self, tokens: np.ndarray) -> np.ndarray:
-        return self.encoder.forward(tokens).data
+        """Logits of every row, computed by ``predict``: a run asks once for
+        its whole training split and indexes the table by batch rows."""
+        return predict(self.encoder, tokens)
 
 
 def teacher_distribution_stats(

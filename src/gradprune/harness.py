@@ -117,23 +117,22 @@ def _batches(rng: np.random.Generator, n: int, batch_size: int, epochs: int):
 
 
 def _train_step(model: TinyEncoder, opt: Adam, split: Split, idx: np.ndarray,
-                handle: TeacherHandle | None, kd: KDConfig, lr: float, step: int,
-                params: dict, masks: dict) -> tuple[float, float, float]:
+                teacher_logits: np.ndarray | None, kd: KDConfig, lr: float,
+                step: int, params: dict, masks: dict) -> tuple[float, float, float]:
     """One optimizer step on the batch ``idx``: the loss and its (ce, kl) terms.
 
-    Masked entries get no gradient and are zeroed again after the update,
-    so pruned weights stay exactly 0.0. Non-finite logits or a non-finite
-    loss raise TrainingDiverged before any parameter changes.
+    ``teacher_logits`` holds the teacher's logits of every row of ``split``
+    (None without distillation). Masked entries get no gradient and are
+    zeroed again after the update, so pruned weights stay exactly 0.0.
+    Non-finite logits or a non-finite loss raise TrainingDiverged before any
+    parameter changes.
     """
-    tokens = split.tokens[idx]
-    teacher_logits = handle.logits(tokens) if handle is not None else None
+    targets = teacher_logits[idx] if teacher_logits is not None else None
     with Tape() as tape:
-        logits = model.forward(tokens)
+        logits = model.forward(split.tokens[idx])
         if not np.all(np.isfinite(logits.data)):
             raise TrainingDiverged(step)
-        loss, ce_term, kl_term = kd_loss_terms(
-            logits, teacher_logits, split.labels[idx], kd
-        )
+        loss, ce_term, kl_term = kd_loss_terms(logits, targets, split.labels[idx], kd)
     loss_value = float(loss.data)
     if not np.isfinite(loss_value):
         raise TrainingDiverged(step)
@@ -156,10 +155,11 @@ def train_teacher(data: TaskData, config: TinyEncoderConfig | None = None, *,
     if config is None:
         config = TinyEncoderConfig(num_classes=data.task.num_classes, seed=seed)
     _check_classes(config, data)
+    n_train = data.train.tokens.shape[0]
+    spe = steps_per_epoch(n_train, batch_size)
     model = TinyEncoder.build(config)
     opt = Adam(model.params, weight_decay=0.0)
     rng = np.random.Generator(np.random.PCG64(seed))
-    n_train = data.train.tokens.shape[0]
     for step, idx in _batches(rng, n_train, batch_size, epochs):
         _train_step(model, opt, data.train, idx, None, TEACHER_KD, lr, step, {}, {})
     return model.to_checkpoint(metadata={
@@ -168,7 +168,7 @@ def train_teacher(data: TaskData, config: TinyEncoderConfig | None = None, *,
         "lr": lr,
         "batch_size": batch_size,
         "seed": seed,
-        "steps": epochs * steps_per_epoch(n_train, batch_size),
+        "steps": epochs * spe,
         "val_accuracy": evaluate(model, data.val.tokens, data.val.labels),
     })
 
@@ -279,16 +279,16 @@ def run(
         _place_sentinel(out_dir)
     n_train = data.train.tokens.shape[0]
     spe = steps_per_epoch(n_train, recipe.batch_size)
-    if spe < 1:
-        raise ValueError(
-            f"batch_size {recipe.batch_size} exceeds training set size {n_train}"
-        )
     timeline = compile_timeline(recipe, spe)
     student, prunable, masks = _init_student(recipe, data, seed, teacher, init,
                                              model_config)
     if recipe.kd.hardness > 0.0 and teacher is None:
         raise ValueError("recipe has kd.hardness > 0 but no teacher was given")
-    handle = TeacherHandle(teacher) if recipe.kd.hardness > 0.0 else None
+    # The teacher runs once, over the whole training split; each step takes
+    # its batch's rows of the table, bitwise what a forward of the batch
+    # alone gives.
+    teacher_logits = (TeacherHandle(teacher).logits(data.train.tokens)
+                      if recipe.kd.hardness > 0.0 else None)
     policy = recipe.sparsity.policy if recipe.sparsity is not None else "uniform"
     opt = Adam(student.params, weight_decay=recipe.weight_decay)
     rng = np.random.Generator(np.random.PCG64(seed))
@@ -298,8 +298,9 @@ def run(
     target = 0.0
     for step, idx in _batches(rng, n_train, recipe.batch_size, recipe.total_epochs):
         lr = float(timeline.lr[step])
-        loss, ce_term, kl_term = _train_step(student, opt, data.train, idx, handle,
-                                             recipe.kd, lr, step, prunable, masks)
+        loss, ce_term, kl_term = _train_step(student, opt, data.train, idx,
+                                             teacher_logits, recipe.kd, lr, step,
+                                             prunable, masks)
         if step in events:
             masks = _prune_event(step, events[step], target, prunable, masks, policy)
             target = events[step]

@@ -132,7 +132,11 @@ def iterate_batches(rng: np.random.Generator, n: int, batch_size: int):
 
 
 def steps_per_epoch(n: int, batch_size: int) -> int:
-    """How many optimizer steps one epoch yields (partial batch dropped)."""
+    """How many optimizer steps one epoch of ``n`` training rows yields
+    (partial batch dropped); a batch larger than the split, which would
+    train no step at all, is an error."""
     if batch_size < 1:
         raise ValueError(f"batch_size must be >= 1, got {batch_size}")
+    if batch_size > n:
+        raise ValueError(f"batch_size {batch_size} exceeds training set size {n}")
     return n // batch_size

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from gradprune import harness
+from gradprune.distillation import TeacherHandle
 from gradprune.harness import (
     METRICS_COLUMNS,
     SCHEDULE_COLUMNS,
@@ -148,6 +149,21 @@ def test_hard_kd_uses_teacher(data, teacher):
     assert all(r["kl_term"] > 0.0 for r in result.rows)
     # student initializes from the teacher, so config rides along
     assert result.checkpoint.config["vocab_size"] == 16
+
+
+def test_kd_run_computes_teacher_logits_once(data, teacher, monkeypatch):
+    calls = []
+    logits = TeacherHandle.logits
+
+    def counted(self, tokens):
+        calls.append(len(tokens))
+        return logits(self, tokens)
+
+    monkeypatch.setattr(TeacherHandle, "logits", counted)
+    recipe = make_recipe(kd={"hardness": 0.5, "temperature": 5.5,
+                             "scale_kl_by_t_squared": True})
+    run(recipe, data, seed=0, teacher=teacher)
+    assert calls == [data.train.tokens.shape[0]]
 
 
 def test_hard_kd_without_teacher_is_an_error(data):

@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from gradprune.checkpoint import load_checkpoint, save_checkpoint
-from gradprune.harness import TrainingDiverged, train_teacher
+from gradprune.distillation import TeacherHandle
+from gradprune.harness import TrainingDiverged, _batches, train_teacher
 from gradprune.models import (
     TinyEncoder,
     TinyEncoderConfig,
@@ -186,6 +187,31 @@ def test_teacher_divergence_reports_step():
         with pytest.raises(TrainingDiverged, match="step") as info:
             train_teacher(data, cfg, epochs=5, lr=1e200, batch_size=32, seed=0)
     assert info.value.step >= 1
+
+
+def test_batch_larger_than_the_training_split_is_an_error():
+    # it used to train 0 steps and return the random init as a teacher
+    data = generate_task(SyntheticTask(train_size=64, val_size=64))
+    with pytest.raises(ValueError, match="batch_size 128 exceeds"):
+        train_teacher(data, epochs=3, batch_size=128)
+
+
+def test_teacher_table_rows_are_bitwise_the_batch_forward(teacher_setup):
+    # run() computes the teacher's logits once per training split and indexes
+    # them by batch rows; that must be exactly the forward of the batch alone
+    _, data, ckpt = teacher_setup
+    assert ckpt.metadata["steps"] > 0
+    init = TinyEncoder.build(TinyEncoderConfig(**ckpt.config))
+    assert not np.array_equal(ckpt.params["encoder.layer0.ffn.expand.weight"],
+                              init.params["encoder.layer0.ffn.expand.weight"].data)
+    split = data.train
+    table = TeacherHandle(ckpt).logits(split.tokens)
+    encoder = encoder_from_checkpoint(ckpt, requires_grad=False)
+    for batch_size in (32, 256):
+        rng = np.random.Generator(np.random.PCG64(batch_size))
+        for _, idx in _batches(rng, split.tokens.shape[0], batch_size, 1):
+            assert (table[idx].tobytes()
+                    == encoder.forward(split.tokens[idx]).data.tobytes())
 
 
 def test_evaluate_validates_lengths():
