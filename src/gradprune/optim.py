@@ -41,14 +41,16 @@ class Adam:
         """Apply one update with the given learning rate and clear gradients."""
         if lr < 0.0:
             raise ValueError(f"learning rate must be >= 0, got {lr}")
+        # every gradient is checked before any state changes
+        for name in self._names:
+            if self._params[name].grad is None:
+                raise ValueError(f"parameter {name} has no gradient; run backward first")
         self._step_count += 1
         t = self._step_count
         bias1 = 1.0 - BETA1**t
         bias2 = 1.0 - BETA2**t
         for name in self._names:
             p = self._params[name]
-            if p.grad is None:
-                raise ValueError(f"parameter {name} has no gradient; run backward first")
             g = p.grad
             m = self._m[name]
             v = self._v[name]

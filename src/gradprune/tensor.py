@@ -3,8 +3,14 @@
 Everything here is double precision on purpose: the point of this package is
 desk-scale experiments whose results can be checked bit-for-bit, so we trade
 speed for exactness. Operations record themselves on the active ``Tape`` in
-execution order, and ``backward`` replays that list in reverse. Gradients are
-*assigned* (not accumulated) onto ``.grad`` at the end of a backward pass, so
+execution order, and ``backward`` replays that list in reverse.
+
+A recorded op keeps only what its backward formula reads: a few arrays, the
+shapes it un-broadcasts to, and where each input's gradient goes. It never
+keeps its input or output Tensors, so an activation no backward reads is
+freed as soon as the forward pass moves on. Gradients reach ``.grad`` on
+leaves only (tensors the loss depends on that the tape did not produce) and
+are *assigned* (not accumulated) there at the end of a backward pass, so
 calling ``backward`` twice from the same tape state yields bitwise-identical
 gradients.
 """
@@ -51,12 +57,13 @@ class Tensor:
     """A float64 ndarray plus a gradient slot.
 
     ``data`` is always a float64 ndarray (scalars become 0-d arrays). ``grad``
-    is ``None`` until a backward pass assigns it. Tensors are created eagerly;
-    whether an op is recorded depends on the active tape and ``requires_grad``
-    of the inputs.
+    is ``None`` until a backward pass assigns it, which it does for leaves
+    only. Tensors are created eagerly; whether an op is recorded depends on
+    the active tape and ``requires_grad`` of the inputs. An op output that was
+    recorded knows its tape and its node index there.
     """
 
-    __slots__ = ("data", "grad", "requires_grad")
+    __slots__ = ("data", "grad", "requires_grad", "_tape", "_index")
 
     def __init__(self, data, requires_grad: bool = False):
         arr = np.asarray(data, dtype=np.float64)
@@ -65,6 +72,8 @@ class Tensor:
         self.data = arr
         self.grad: np.ndarray | None = None
         self.requires_grad = bool(requires_grad)
+        self._tape: Tape | None = None
+        self._index = -1
 
     @classmethod
     def _wrap(cls, data: np.ndarray) -> "Tensor":
@@ -75,6 +84,8 @@ class Tensor:
         out.data = np.asarray(data, dtype=np.float64)
         out.grad = None
         out.requires_grad = False
+        out._tape = None
+        out._index = -1
         return out
 
     @property
@@ -131,14 +142,6 @@ class Tensor:
         return reduce_mean(self, axis)
 
 
-class _Node:
-    __slots__ = ("out", "backward_fn")
-
-    def __init__(self, out: Tensor, backward_fn: Callable):
-        self.out = out
-        self.backward_fn = backward_fn
-
-
 class Tape:
     """Ordered record of operations for one forward pass.
 
@@ -149,10 +152,12 @@ class Tape:
         backward(loss)
 
     Only one tape may be active at a time; nesting is a bug and raises.
+    The tape holds one backward callable per recorded op. Gradients pass
+    between ops by node index, so the tape holds no Tensors of its own.
     """
 
     def __init__(self):
-        self._nodes: list[_Node] = []
+        self._nodes: list[Callable] = []
 
     def __enter__(self) -> "Tape":
         global _ACTIVE_TAPE
@@ -169,45 +174,51 @@ class Tape:
     def __len__(self) -> int:
         return len(self._nodes)
 
+    def _target(self, t: Tensor):
+        """Where an op input's gradient goes: its node index if this tape
+        produced it, the Tensor itself for a leaf, None if it needs none."""
+        if not t.requires_grad:
+            return None
+        return t._index if t._tape is self else t
+
+    def _record(self, out: Tensor, backward_fn: Callable) -> Tensor:
+        out.requires_grad = True
+        out._tape = self
+        out._index = len(self._nodes)
+        self._nodes.append(backward_fn)
+        return out
+
     def backward(self, loss: Tensor) -> None:
         """Run reverse-mode accumulation from ``loss`` back to the leaves.
 
         ``loss`` must be a scalar produced while this tape was active. Each
-        tensor's gradient is summed over all its uses in a fixed order and
-        then assigned to ``.grad``; repeating the call reproduces the same
-        bytes.
+        gradient is summed over all its uses in a fixed order. Leaves, the
+        tensors the loss depends on that this tape did not produce, get their
+        sum assigned to ``.grad``; repeating the call reproduces the same
+        bytes. Intermediates get no ``.grad``: each one's gradient is freed as
+        soon as its node has run.
         """
         if loss.data.ndim != 0:
             raise ValueError(
                 f"backward requires a scalar loss, got shape {loss.data.shape}"
             )
-        produced = any(node.out is loss for node in self._nodes)
-        if not produced:
+        if loss._tape is not self:
             raise ValueError("loss was not produced on this tape")
-        # id -> running gradient; holders keeps the tensors alive and maps back.
-        grads: dict[int, np.ndarray] = {id(loss): np.asarray(1.0)}
-        holders: dict[int, Tensor] = {id(loss): loss}
+        # running gradients, keyed by node index (intermediates) or Tensor (leaves)
+        grads: dict = {loss._index: np.asarray(1.0)}
 
-        def accumulate(t: Tensor, g: np.ndarray) -> None:
-            if not t.requires_grad:
-                return
-            key = id(t)
-            if key in grads:
-                grads[key] = grads[key] + g
+        def accumulate(target, g: np.ndarray) -> None:
+            if target in grads:
+                grads[target] = grads[target] + g
             else:
-                grads[key] = g
-                holders[key] = t
+                grads[target] = g
 
-        for node in reversed(self._nodes):
-            g = grads.pop(id(node.out), None)
-            holders.pop(id(node.out), None)
-            if g is None:
-                continue  # this output does not influence the loss
-            node.out.grad = g
-            node.backward_fn(g, accumulate)
-        # Whatever is left was never produced by a node on this tape: leaves.
-        for key, g in grads.items():
-            holders[key].grad = g
+        for index in range(loss._index, -1, -1):
+            if index in grads:  # else this output does not influence the loss
+                self._nodes[index](grads.pop(index), accumulate)
+        # Every node index has been popped: what is left are the leaves.
+        for leaf, g in grads.items():
+            leaf.grad = g
 
 
 def _as_tensor(x) -> Tensor:
@@ -216,11 +227,13 @@ def _as_tensor(x) -> Tensor:
     return Tensor(np.asarray(x, dtype=np.float64))
 
 
-def _record(out: Tensor, inputs: Sequence[Tensor], backward_fn: Callable) -> Tensor:
-    if _ACTIVE_TAPE is not None and any(t.requires_grad for t in inputs):
-        out.requires_grad = True
-        _ACTIVE_TAPE._nodes.append(_Node(out, backward_fn))
-    return out
+def _recording(*inputs: Tensor) -> Tape | None:
+    """The active tape if it records an op on ``inputs``, else None: off the
+    tape, an op builds no backward closure."""
+    tape = _ACTIVE_TAPE
+    if tape is not None and any(t.requires_grad for t in inputs):
+        return tape
+    return None
 
 
 def _unbroadcast(g: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
@@ -245,12 +258,19 @@ def add(a, b) -> Tensor:
             f"add: shapes {a.data.shape} and {b.data.shape} do not broadcast"
         ) from None
     out = Tensor._wrap(a.data + b.data)
+    tape = _recording(a, b)
+    if tape is None:
+        return out
+    ta, tb = tape._target(a), tape._target(b)
+    a_shape, b_shape = a.data.shape, b.data.shape
 
     def bwd(g, accumulate):
-        accumulate(a, _unbroadcast(g, a.data.shape))
-        accumulate(b, _unbroadcast(g, b.data.shape))
+        if ta is not None:
+            accumulate(ta, _unbroadcast(g, a_shape))
+        if tb is not None:
+            accumulate(tb, _unbroadcast(g, b_shape))
 
-    return _record(out, (a, b), bwd)
+    return tape._record(out, bwd)
 
 
 def mul(a, b) -> Tensor:
@@ -262,12 +282,22 @@ def mul(a, b) -> Tensor:
             f"mul: shapes {a.data.shape} and {b.data.shape} do not broadcast"
         ) from None
     out = Tensor._wrap(a.data * b.data)
+    tape = _recording(a, b)
+    if tape is None:
+        return out
+    ta, tb = tape._target(a), tape._target(b)
+    # each input's gradient reads the other input
+    a_data = a.data if tb is not None else None
+    b_data = b.data if ta is not None else None
+    a_shape, b_shape = a.data.shape, b.data.shape
 
     def bwd(g, accumulate):
-        accumulate(a, _unbroadcast(g * b.data, a.data.shape))
-        accumulate(b, _unbroadcast(g * a.data, b.data.shape))
+        if ta is not None:
+            accumulate(ta, _unbroadcast(g * b_data, a_shape))
+        if tb is not None:
+            accumulate(tb, _unbroadcast(g * a_data, b_shape))
 
-    return _record(out, (a, b), bwd)
+    return tape._record(out, bwd)
 
 
 def matmul(a, b) -> Tensor:
@@ -287,14 +317,22 @@ def matmul(a, b) -> Tensor:
             f"matmul: batch dimensions do not broadcast, {a.data.shape} @ {b.data.shape}"
         ) from None
     out = Tensor._wrap(out_data)
+    tape = _recording(a, b)
+    if tape is None:
+        return out
+    ta, tb = tape._target(a), tape._target(b)
+    # each input's gradient reads the other input
+    a_data = a.data if tb is not None else None
+    b_data = b.data if ta is not None else None
+    a_shape, b_shape = a.data.shape, b.data.shape
 
     def bwd(g, accumulate):
-        ga = g @ np.swapaxes(b.data, -1, -2)
-        gb = np.swapaxes(a.data, -1, -2) @ g
-        accumulate(a, _unbroadcast(ga, a.data.shape))
-        accumulate(b, _unbroadcast(gb, b.data.shape))
+        if ta is not None:
+            accumulate(ta, _unbroadcast(g @ np.swapaxes(b_data, -1, -2), a_shape))
+        if tb is not None:
+            accumulate(tb, _unbroadcast(np.swapaxes(a_data, -1, -2) @ g, b_shape))
 
-    return _record(out, (a, b), bwd)
+    return tape._record(out, bwd)
 
 
 def gelu(x: Tensor) -> Tensor:
@@ -305,12 +343,16 @@ def gelu(x: Tensor) -> Tensor:
     cdf += 1.0
     cdf *= 0.5
     out = Tensor._wrap(x.data * cdf)
+    tape = _recording(x)
+    if tape is None:
+        return out
+    tx, x_data = tape._target(x), x.data
 
     def bwd(g, accumulate):
-        pdf = np.exp(-0.5 * x.data * x.data) * _INV_SQRT_2PI
-        accumulate(x, g * (cdf + x.data * pdf))
+        pdf = np.exp(-0.5 * x_data * x_data) * _INV_SQRT_2PI
+        accumulate(tx, g * (cdf + x_data * pdf))
 
-    return _record(out, (x,), bwd)
+    return tape._record(out, bwd)
 
 
 def layer_norm(x: Tensor, eps: float = 1e-5) -> Tensor:
@@ -328,13 +370,17 @@ def layer_norm(x: Tensor, eps: float = 1e-5) -> Tensor:
     inv = 1.0 / np.sqrt(var + eps)
     y = xc * inv
     out = Tensor._wrap(y)
+    tape = _recording(x)
+    if tape is None:
+        return out
+    tx = tape._target(x)
 
     def bwd(g, accumulate):
         gm = g.mean(axis=-1, keepdims=True)
         gym = (g * y).mean(axis=-1, keepdims=True)
-        accumulate(x, inv * (g - gm - y * gym))
+        accumulate(tx, inv * (g - gm - y * gym))
 
-    return _record(out, (x,), bwd)
+    return tape._record(out, bwd)
 
 
 def softmax(x: Tensor) -> Tensor:
@@ -346,12 +392,16 @@ def softmax(x: Tensor) -> Tensor:
     e = np.exp(z)
     y = e / e.sum(axis=-1, keepdims=True)
     out = Tensor._wrap(y)
+    tape = _recording(x)
+    if tape is None:
+        return out
+    tx = tape._target(x)
 
     def bwd(g, accumulate):
         dot = (g * y).sum(axis=-1, keepdims=True)
-        accumulate(x, y * (g - dot))
+        accumulate(tx, y * (g - dot))
 
-    return _record(out, (x,), bwd)
+    return tape._record(out, bwd)
 
 
 def log_softmax(x: Tensor) -> Tensor:
@@ -363,12 +413,16 @@ def log_softmax(x: Tensor) -> Tensor:
     lse = np.log(np.exp(z).sum(axis=-1, keepdims=True))
     y = z - lse
     out = Tensor._wrap(y)
+    tape = _recording(x)
+    if tape is None:
+        return out
+    tx = tape._target(x)
 
     def bwd(g, accumulate):
         p = np.exp(y)
-        accumulate(x, g - p * g.sum(axis=-1, keepdims=True))
+        accumulate(tx, g - p * g.sum(axis=-1, keepdims=True))
 
-    return _record(out, (x,), bwd)
+    return tape._record(out, bwd)
 
 
 def reshape(x: Tensor, shape: Sequence[int]) -> Tensor:
@@ -379,11 +433,15 @@ def reshape(x: Tensor, shape: Sequence[int]) -> Tensor:
             f"reshape: cannot reshape {x.data.shape} into {shape}"
         )
     out = Tensor._wrap(x.data.reshape(shape))
+    tape = _recording(x)
+    if tape is None:
+        return out
+    tx, x_shape = tape._target(x), x.data.shape
 
     def bwd(g, accumulate):
-        accumulate(x, g.reshape(x.data.shape))
+        accumulate(tx, g.reshape(x_shape))
 
-    return _record(out, (x,), bwd)
+    return tape._record(out, bwd)
 
 
 def transpose(x: Tensor, axes: Sequence[int]) -> Tensor:
@@ -393,13 +451,17 @@ def transpose(x: Tensor, axes: Sequence[int]) -> Tensor:
         raise ValueError(
             f"transpose: {axes} is not a permutation of axes for shape {x.data.shape}"
         )
-    inverse = tuple(int(i) for i in np.argsort(axes))
     out = Tensor._wrap(x.data.transpose(axes))
+    tape = _recording(x)
+    if tape is None:
+        return out
+    tx = tape._target(x)
+    inverse = tuple(int(i) for i in np.argsort(axes))
 
     def bwd(g, accumulate):
-        accumulate(x, g.transpose(inverse))
+        accumulate(tx, g.transpose(inverse))
 
-    return _record(out, (x,), bwd)
+    return tape._record(out, bwd)
 
 
 def embedding(table: Tensor, ids: np.ndarray) -> Tensor:
@@ -416,13 +478,17 @@ def embedding(table: Tensor, ids: np.ndarray) -> Tensor:
             f"got min {ids.min()} max {ids.max()}"
         )
     out = Tensor._wrap(table.data[ids])
+    tape = _recording(table)
+    if tape is None:
+        return out
+    tt, table_shape = tape._target(table), table.data.shape
 
     def bwd(g, accumulate):
-        gt = np.zeros_like(table.data)
+        gt = np.zeros(table_shape)
         np.add.at(gt, ids, g)
-        accumulate(table, gt)
+        accumulate(tt, gt)
 
-    return _record(out, (table,), bwd)
+    return tape._record(out, bwd)
 
 
 def reduce_sum(x: Tensor, axis: int | None = None) -> Tensor:
@@ -430,14 +496,18 @@ def reduce_sum(x: Tensor, axis: int | None = None) -> Tensor:
     if axis is not None and not -x.data.ndim <= axis < x.data.ndim:
         raise ValueError(f"sum: axis {axis} out of range for shape {x.data.shape}")
     out = Tensor._wrap(x.data.sum(axis=axis))
+    tape = _recording(x)
+    if tape is None:
+        return out
+    tx, x_shape = tape._target(x), x.data.shape
 
     def bwd(g, accumulate):
         if axis is None:
-            accumulate(x, np.full(x.data.shape, float(g)))
+            accumulate(tx, np.full(x_shape, float(g)))
         else:
-            accumulate(x, np.broadcast_to(np.expand_dims(g, axis), x.data.shape).copy())
+            accumulate(tx, np.broadcast_to(np.expand_dims(g, axis), x_shape).copy())
 
-    return _record(out, (x,), bwd)
+    return tape._record(out, bwd)
 
 
 def reduce_mean(x: Tensor, axis: int | None = None) -> Tensor:
@@ -445,13 +515,17 @@ def reduce_mean(x: Tensor, axis: int | None = None) -> Tensor:
     if axis is not None and not -x.data.ndim <= axis < x.data.ndim:
         raise ValueError(f"mean: axis {axis} out of range for shape {x.data.shape}")
     out = Tensor._wrap(x.data.mean(axis=axis))
+    tape = _recording(x)
+    if tape is None:
+        return out
+    tx, x_shape = tape._target(x), x.data.shape
     count = x.data.size if axis is None else x.data.shape[axis]
 
     def bwd(g, accumulate):
         if axis is None:
-            accumulate(x, np.full(x.data.shape, float(g) / count))
+            accumulate(tx, np.full(x_shape, float(g) / count))
         else:
             scaled = np.expand_dims(g, axis) / count
-            accumulate(x, np.broadcast_to(scaled, x.data.shape).copy())
+            accumulate(tx, np.broadcast_to(scaled, x_shape).copy())
 
-    return _record(out, (x,), bwd)
+    return tape._record(out, bwd)

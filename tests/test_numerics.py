@@ -202,6 +202,28 @@ def test_constant_inputs_get_no_gradient():
     assert x.grad is not None
 
 
+def test_intermediates_get_no_gradient():
+    x = Tensor(np.array([[0.5, -1.0], [2.0, 0.25]]), requires_grad=True)
+    with Tape() as tape:
+        h = gelu(x)
+        loss = h.sum()
+    tape.backward(loss)
+    assert h.grad is None
+    assert loss.grad is None
+    assert x.grad is not None
+
+
+def test_output_of_another_tape_is_a_leaf_there():
+    x = Tensor(np.array([1.0, 2.0]), requires_grad=True)
+    with Tape():
+        h = mul(x, 3.0)
+    with Tape() as second:
+        loss = mul(h, h).sum()
+    second.backward(loss)
+    np.testing.assert_array_equal(h.grad, 2.0 * h.data)
+    assert x.grad is None  # the second tape does not see through h
+
+
 def test_shape_mismatch_errors_name_shapes():
     a = Tensor(np.zeros((2, 3)))
     b = Tensor(np.zeros((4, 2)))
@@ -293,6 +315,23 @@ def test_adam_missing_grad_names_parameter():
     opt = Adam(params)
     with pytest.raises(ValueError, match="stray"):
         opt.step(1e-3)
+
+
+def test_adam_missing_grad_changes_no_state():
+    params = {
+        "a": Tensor(np.ones(2), requires_grad=True),
+        "b": Tensor(np.ones(2), requires_grad=True),
+    }
+    opt = Adam(params)
+    grad = np.ones(2)
+    params["a"].grad = grad
+    with pytest.raises(ValueError, match="parameter b has no gradient"):
+        opt.step(0.1)
+    assert params["a"].data.tolist() == [1.0, 1.0]
+    assert params["a"].grad is grad
+    assert opt._step_count == 0
+    for moments in (opt._m, opt._v):
+        assert all(not m.any() for m in moments.values())
 
 
 def test_adam_clears_grads_after_step():

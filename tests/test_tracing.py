@@ -3,15 +3,19 @@
 ``benchmarks/tracing.instrument`` wraps package attributes by name (for
 example ``distillation.TeacherHandle.logits`` and ``models.evaluate``), so
 renaming one breaks ``bench.py --trace 1``. Entering and leaving it here
-catches that in the main suite.
+catches that in the main suite. Its ``tensor.tape_nodes`` reads ``len(tape)``
+at backward, so a KD step must still count 109 nodes.
 """
 
 import importlib.util
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 
-from gradprune import TeacherHandle, TinyEncoder, TinyEncoderConfig, harness, models
+from gradprune import (KDConfig, SyntheticTask, TeacherHandle, TinyEncoder,
+                       TinyEncoderConfig, generate_task, harness, models)
+from gradprune.optim import Adam
 
 TRACING = Path(__file__).resolve().parents[1] / "benchmarks" / "tracing.py"
 
@@ -44,3 +48,19 @@ def test_tracer_wraps_and_restores_the_package():
     assert names.count("models.forward.eval") == 1
     assert names.count("models.forward.teacher") == 1
     assert names.count("distillation.teacher_logits") == 1
+
+
+def test_backward_span_counts_the_nodes_of_a_kd_step():
+    tracing = load_tracing()
+    config = TinyEncoderConfig()
+    split = generate_task(SyntheticTask(train_size=8, val_size=4)).train
+    student = TinyEncoder.build(config)
+    teacher = TinyEncoder.build(replace(config, seed=1))
+    teacher_logits = models.predict(teacher, split.tokens)
+    tracer = tracing.Tracer()
+    with tracing.instrument(tracer, config.hidden_dim, config.ffn_dim):
+        harness._train_step(student, Adam(student.params), split, np.arange(8),
+                            teacher_logits, KDConfig(hardness=1.0, temperature=5.5),
+                            1e-3, 0, {}, {})
+    counts = [span[5] for span in tracer.spans if span[0] == "tensor.backward"]
+    assert counts == [{"tape_nodes": 109}]
