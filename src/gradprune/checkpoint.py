@@ -161,8 +161,6 @@ def load_checkpoint(directory: str) -> Checkpoint:
         expected_bit = 0
         for name in sorted(mask_index):
             entry = mask_index[name]
-            if name not in params:
-                raise ValueError(f"mask {name!r} does not match any parameter")
             if entry["bit_offset"] != expected_bit:
                 raise ValueError(f"mask {name}: bit offset {entry['bit_offset']} is not contiguous")
             shape = tuple(entry["shape"])

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .models import encoder_from_checkpoint, predict
-from .tensor import Tensor, log_softmax, mul
+from .tensor import Tensor, log_softmax, mul, softmax
 
 DEFAULT_TEMPERATURES = (1.0, 2.0, 5.5)
 
@@ -39,14 +39,11 @@ class KDConfig:
 
 
 def soften(logits: np.ndarray, temperature: float) -> np.ndarray:
-    """softmax(logits / T) over the last axis, numerically stable."""
+    """softmax(logits / T) over the last axis, numerically stable. Non-finite
+    logits raise ``ValueError``."""
     if temperature <= 0.0:
         raise ValueError(f"temperature must be > 0, got {temperature}")
-    logits = np.asarray(logits, dtype=np.float64)
-    z = logits / temperature
-    z = z - z.max(axis=-1, keepdims=True)
-    e = np.exp(z)
-    return e / e.sum(axis=-1, keepdims=True)
+    return softmax(np.asarray(logits, dtype=np.float64) / temperature).data
 
 
 def distribution_entropy(probs: np.ndarray) -> np.ndarray:
@@ -77,17 +74,15 @@ def cross_entropy(logits: Tensor, labels: np.ndarray) -> Tensor:
 
 
 def _kl_term(student_logits: Tensor, teacher_logits: np.ndarray,
-             temperature: float) -> tuple[Tensor, float]:
-    """Mean-over-batch KL(teacher_soft || student_soft) as a Tensor, plus the
-    constant (teacher-only) part as a float for reporting."""
+             temperature: float) -> Tensor:
+    """Mean-over-batch KL(teacher_soft || student_soft) as a Tensor."""
     batch = student_logits.shape[0]
     p_teacher = soften(teacher_logits, temperature)
     log_p_teacher = log_softmax(np.asarray(teacher_logits) / temperature).data
     const_part = float((p_teacher * log_p_teacher).sum() / batch)
     ls_student = log_softmax(mul(student_logits, 1.0 / temperature))
     cross = mul(ls_student, p_teacher).sum() * (1.0 / batch)
-    kl = cross * (-1.0) + const_part
-    return kl, const_part
+    return cross * (-1.0) + const_part
 
 
 def kd_loss_terms(
@@ -118,7 +113,7 @@ def kd_loss_terms(
             f"student logits shape {student_logits.data.shape}"
         )
     scale = config.temperature**2 if config.scale_kl_by_t_squared else 1.0
-    kl, _ = _kl_term(student_logits, teacher_logits, config.temperature)
+    kl = _kl_term(student_logits, teacher_logits, config.temperature)
     if h == 1.0:
         loss = kl * scale
         return loss, 0.0, float(loss.data)

@@ -5,14 +5,17 @@ desk-scale experiments whose results can be checked bit-for-bit, so we trade
 speed for exactness. Operations record themselves on the active ``Tape`` in
 execution order, and ``backward`` replays that list in reverse.
 
-A recorded op keeps only what its backward formula reads: a few arrays, the
-shapes it un-broadcasts to, and where each input's gradient goes. It never
-keeps its input or output Tensors, so an activation no backward reads is
-freed as soon as the forward pass moves on. Gradients reach ``.grad`` on
-leaves only (tensors the loss depends on that the tape did not produce) and
-are *assigned* (not accumulated) there at the end of a backward pass, so
-calling ``backward`` twice from the same tape state yields bitwise-identical
-gradients.
+Every op computes its output and hands it to one recorder, ``_output``, with
+its inputs and a gradient function. A recorded op is one tape node: targets
+plus gradient function. The targets say where each input's gradient goes;
+the gradient function maps the output's gradient to one gradient per input
+and keeps only what that formula reads: a few arrays and the shapes it
+un-broadcasts to. It never keeps its input or output Tensors, so an
+activation no backward reads is freed as soon as the forward pass moves on.
+Gradients reach ``.grad`` on leaves only (tensors the loss depends on that
+the tape did not produce) and are *assigned* (not accumulated) there at the
+end of a backward pass, so calling ``backward`` twice from the same tape
+state yields bitwise-identical gradients.
 """
 
 from __future__ import annotations
@@ -75,33 +78,9 @@ class Tensor:
         self._tape: Tape | None = None
         self._index = -1
 
-    @classmethod
-    def _wrap(cls, data: np.ndarray) -> "Tensor":
-        """Internal constructor for op outputs: skips the finiteness check so
-        a diverging run is caught at the loss (with a step index) rather than
-        deep inside the forward pass."""
-        out = object.__new__(cls)
-        out.data = np.asarray(data, dtype=np.float64)
-        out.grad = None
-        out.requires_grad = False
-        out._tape = None
-        out._index = -1
-        return out
-
     @property
     def shape(self) -> tuple[int, ...]:
         return self.data.shape
-
-    @property
-    def ndim(self) -> int:
-        return self.data.ndim
-
-    @property
-    def size(self) -> int:
-        return self.data.size
-
-    def item(self) -> float:
-        return float(self.data)
 
     def __repr__(self) -> str:
         return f"Tensor(shape={self.data.shape}, requires_grad={self.requires_grad})"
@@ -111,23 +90,8 @@ class Tensor:
     def __add__(self, other):
         return add(self, other)
 
-    def __radd__(self, other):
-        return add(self, other)
-
     def __mul__(self, other):
         return mul(self, other)
-
-    def __rmul__(self, other):
-        return mul(self, other)
-
-    def __neg__(self):
-        return mul(self, -1.0)
-
-    def __sub__(self, other):
-        return add(self, mul(_as_tensor(other), -1.0))
-
-    def __matmul__(self, other):
-        return matmul(self, other)
 
     def reshape(self, shape: Sequence[int]) -> "Tensor":
         return reshape(self, shape)
@@ -152,12 +116,15 @@ class Tape:
         backward(loss)
 
     Only one tape may be active at a time; nesting is a bug and raises.
-    The tape holds one backward callable per recorded op. Gradients pass
-    between ops by node index, so the tape holds no Tensors of its own.
+    Each recorded op is one node: targets plus gradient function. A target
+    is where one input's gradient goes: the node index of an output of this
+    tape, the Tensor itself for a leaf, or None when it needs no gradient.
+    Gradients pass between ops by node index, so the only Tensors the tape
+    holds are leaves.
     """
 
     def __init__(self):
-        self._nodes: list[Callable] = []
+        self._nodes: list[tuple[tuple, Callable]] = []
 
     def __enter__(self) -> "Tape":
         global _ACTIVE_TAPE
@@ -173,20 +140,6 @@ class Tape:
 
     def __len__(self) -> int:
         return len(self._nodes)
-
-    def _target(self, t: Tensor):
-        """Where an op input's gradient goes: its node index if this tape
-        produced it, the Tensor itself for a leaf, None if it needs none."""
-        if not t.requires_grad:
-            return None
-        return t._index if t._tape is self else t
-
-    def _record(self, out: Tensor, backward_fn: Callable) -> Tensor:
-        out.requires_grad = True
-        out._tape = self
-        out._index = len(self._nodes)
-        self._nodes.append(backward_fn)
-        return out
 
     def backward(self, loss: Tensor) -> None:
         """Run reverse-mode accumulation from ``loss`` back to the leaves.
@@ -206,16 +159,14 @@ class Tape:
             raise ValueError("loss was not produced on this tape")
         # running gradients, keyed by node index (intermediates) or Tensor (leaves)
         grads: dict = {loss._index: np.asarray(1.0)}
-
-        def accumulate(target, g: np.ndarray) -> None:
-            if target in grads:
-                grads[target] = grads[target] + g
-            else:
-                grads[target] = g
-
         for index in range(loss._index, -1, -1):
-            if index in grads:  # else this output does not influence the loss
-                self._nodes[index](grads.pop(index), accumulate)
+            if index not in grads:  # this output does not influence the loss
+                continue
+            targets, grad_fn = self._nodes[index]
+            for target, g in zip(targets, grad_fn(grads.pop(index))):
+                if target is None:
+                    continue
+                grads[target] = grads[target] + g if target in grads else g
         # Every node index has been popped: what is left are the leaves.
         for leaf, g in grads.items():
             leaf.grad = g
@@ -227,13 +178,31 @@ def _as_tensor(x) -> Tensor:
     return Tensor(np.asarray(x, dtype=np.float64))
 
 
-def _recording(*inputs: Tensor) -> Tape | None:
-    """The active tape if it records an op on ``inputs``, else None: off the
-    tape, an op builds no backward closure."""
+def _output(data, inputs: tuple[Tensor, ...], grad_fn: Callable) -> Tensor:
+    """The op's output, recorded on the active tape if an input needs a
+    gradient. ``grad_fn(g)`` returns one gradient per input, in input order,
+    and None for an input that needs none; off the tape it is dropped unused.
+
+    Skips the finiteness check, so a diverging run is caught at the loss
+    (with a step index) rather than deep inside the forward pass."""
+    out = object.__new__(Tensor)
+    out.data = np.asarray(data, dtype=np.float64)
+    out.grad = None
+    out.requires_grad = False
+    out._tape = None
+    out._index = -1
     tape = _ACTIVE_TAPE
-    if tape is not None and any(t.requires_grad for t in inputs):
-        return tape
-    return None
+    if tape is None or not any(t.requires_grad for t in inputs):
+        return out
+    targets = tuple(
+        (t._index if t._tape is tape else t) if t.requires_grad else None
+        for t in inputs
+    )
+    out.requires_grad = True
+    out._tape = tape
+    out._index = len(tape._nodes)
+    tape._nodes.append((targets, grad_fn))
+    return out
 
 
 def _unbroadcast(g: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
@@ -257,20 +226,12 @@ def add(a, b) -> Tensor:
         raise ValueError(
             f"add: shapes {a.data.shape} and {b.data.shape} do not broadcast"
         ) from None
-    out = Tensor._wrap(a.data + b.data)
-    tape = _recording(a, b)
-    if tape is None:
-        return out
-    ta, tb = tape._target(a), tape._target(b)
     a_shape, b_shape = a.data.shape, b.data.shape
-
-    def bwd(g, accumulate):
-        if ta is not None:
-            accumulate(ta, _unbroadcast(g, a_shape))
-        if tb is not None:
-            accumulate(tb, _unbroadcast(g, b_shape))
-
-    return tape._record(out, bwd)
+    need_a, need_b = a.requires_grad, b.requires_grad
+    return _output(a.data + b.data, (a, b), lambda g: (
+        _unbroadcast(g, a_shape) if need_a else None,
+        _unbroadcast(g, b_shape) if need_b else None,
+    ))
 
 
 def mul(a, b) -> Tensor:
@@ -281,23 +242,14 @@ def mul(a, b) -> Tensor:
         raise ValueError(
             f"mul: shapes {a.data.shape} and {b.data.shape} do not broadcast"
         ) from None
-    out = Tensor._wrap(a.data * b.data)
-    tape = _recording(a, b)
-    if tape is None:
-        return out
-    ta, tb = tape._target(a), tape._target(b)
-    # each input's gradient reads the other input
-    a_data = a.data if tb is not None else None
-    b_data = b.data if ta is not None else None
     a_shape, b_shape = a.data.shape, b.data.shape
-
-    def bwd(g, accumulate):
-        if ta is not None:
-            accumulate(ta, _unbroadcast(g * b_data, a_shape))
-        if tb is not None:
-            accumulate(tb, _unbroadcast(g * a_data, b_shape))
-
-    return tape._record(out, bwd)
+    # each input's gradient reads the other input
+    a_data = a.data if b.requires_grad else None
+    b_data = b.data if a.requires_grad else None
+    return _output(a.data * b.data, (a, b), lambda g: (
+        None if b_data is None else _unbroadcast(g * b_data, a_shape),
+        None if a_data is None else _unbroadcast(g * a_data, b_shape),
+    ))
 
 
 def matmul(a, b) -> Tensor:
@@ -316,43 +268,32 @@ def matmul(a, b) -> Tensor:
         raise ValueError(
             f"matmul: batch dimensions do not broadcast, {a.data.shape} @ {b.data.shape}"
         ) from None
-    out = Tensor._wrap(out_data)
-    tape = _recording(a, b)
-    if tape is None:
-        return out
-    ta, tb = tape._target(a), tape._target(b)
-    # each input's gradient reads the other input
-    a_data = a.data if tb is not None else None
-    b_data = b.data if ta is not None else None
     a_shape, b_shape = a.data.shape, b.data.shape
-
-    def bwd(g, accumulate):
-        if ta is not None:
-            accumulate(ta, _unbroadcast(g @ np.swapaxes(b_data, -1, -2), a_shape))
-        if tb is not None:
-            accumulate(tb, _unbroadcast(np.swapaxes(a_data, -1, -2) @ g, b_shape))
-
-    return tape._record(out, bwd)
+    # each input's gradient reads the other input
+    a_data = a.data if b.requires_grad else None
+    b_data = b.data if a.requires_grad else None
+    return _output(out_data, (a, b), lambda g: (
+        None if b_data is None
+        else _unbroadcast(g @ np.swapaxes(b_data, -1, -2), a_shape),
+        None if a_data is None
+        else _unbroadcast(np.swapaxes(a_data, -1, -2) @ g, b_shape),
+    ))
 
 
 def gelu(x: Tensor) -> Tensor:
     """Exact (erf-based) GELU: x * Phi(x)."""
     x = _as_tensor(x)
-    cdf = x.data / _SQRT2
+    x_data = x.data
+    cdf = x_data / _SQRT2
     erf(cdf, out=cdf)  # in place: erf dominates the forward pass
     cdf += 1.0
     cdf *= 0.5
-    out = Tensor._wrap(x.data * cdf)
-    tape = _recording(x)
-    if tape is None:
-        return out
-    tx, x_data = tape._target(x), x.data
 
-    def bwd(g, accumulate):
+    def grad_fn(g):
         pdf = np.exp(-0.5 * x_data * x_data) * _INV_SQRT_2PI
-        accumulate(tx, g * (cdf + x_data * pdf))
+        return (g * (cdf + x_data * pdf),)
 
-    return tape._record(out, bwd)
+    return _output(x_data * cdf, (x,), grad_fn)
 
 
 def layer_norm(x: Tensor, eps: float = 1e-5) -> Tensor:
@@ -369,18 +310,13 @@ def layer_norm(x: Tensor, eps: float = 1e-5) -> Tensor:
     var = np.mean(xc * xc, axis=-1, keepdims=True)
     inv = 1.0 / np.sqrt(var + eps)
     y = xc * inv
-    out = Tensor._wrap(y)
-    tape = _recording(x)
-    if tape is None:
-        return out
-    tx = tape._target(x)
 
-    def bwd(g, accumulate):
+    def grad_fn(g):
         gm = g.mean(axis=-1, keepdims=True)
         gym = (g * y).mean(axis=-1, keepdims=True)
-        accumulate(tx, inv * (g - gm - y * gym))
+        return (inv * (g - gm - y * gym),)
 
-    return tape._record(out, bwd)
+    return _output(y, (x,), grad_fn)
 
 
 def softmax(x: Tensor) -> Tensor:
@@ -391,17 +327,9 @@ def softmax(x: Tensor) -> Tensor:
     z = x.data - x.data.max(axis=-1, keepdims=True)
     e = np.exp(z)
     y = e / e.sum(axis=-1, keepdims=True)
-    out = Tensor._wrap(y)
-    tape = _recording(x)
-    if tape is None:
-        return out
-    tx = tape._target(x)
-
-    def bwd(g, accumulate):
-        dot = (g * y).sum(axis=-1, keepdims=True)
-        accumulate(tx, y * (g - dot))
-
-    return tape._record(out, bwd)
+    return _output(y, (x,), lambda g: (
+        y * (g - (g * y).sum(axis=-1, keepdims=True)),
+    ))
 
 
 def log_softmax(x: Tensor) -> Tensor:
@@ -412,17 +340,9 @@ def log_softmax(x: Tensor) -> Tensor:
     z = x.data - x.data.max(axis=-1, keepdims=True)
     lse = np.log(np.exp(z).sum(axis=-1, keepdims=True))
     y = z - lse
-    out = Tensor._wrap(y)
-    tape = _recording(x)
-    if tape is None:
-        return out
-    tx = tape._target(x)
-
-    def bwd(g, accumulate):
-        p = np.exp(y)
-        accumulate(tx, g - p * g.sum(axis=-1, keepdims=True))
-
-    return tape._record(out, bwd)
+    return _output(y, (x,), lambda g: (
+        g - np.exp(y) * g.sum(axis=-1, keepdims=True),
+    ))
 
 
 def reshape(x: Tensor, shape: Sequence[int]) -> Tensor:
@@ -432,16 +352,8 @@ def reshape(x: Tensor, shape: Sequence[int]) -> Tensor:
         raise ValueError(
             f"reshape: cannot reshape {x.data.shape} into {shape}"
         )
-    out = Tensor._wrap(x.data.reshape(shape))
-    tape = _recording(x)
-    if tape is None:
-        return out
-    tx, x_shape = tape._target(x), x.data.shape
-
-    def bwd(g, accumulate):
-        accumulate(tx, g.reshape(x_shape))
-
-    return tape._record(out, bwd)
+    x_shape = x.data.shape
+    return _output(x.data.reshape(shape), (x,), lambda g: (g.reshape(x_shape),))
 
 
 def transpose(x: Tensor, axes: Sequence[int]) -> Tensor:
@@ -451,17 +363,8 @@ def transpose(x: Tensor, axes: Sequence[int]) -> Tensor:
         raise ValueError(
             f"transpose: {axes} is not a permutation of axes for shape {x.data.shape}"
         )
-    out = Tensor._wrap(x.data.transpose(axes))
-    tape = _recording(x)
-    if tape is None:
-        return out
-    tx = tape._target(x)
     inverse = tuple(int(i) for i in np.argsort(axes))
-
-    def bwd(g, accumulate):
-        accumulate(tx, g.transpose(inverse))
-
-    return tape._record(out, bwd)
+    return _output(x.data.transpose(axes), (x,), lambda g: (g.transpose(inverse),))
 
 
 def embedding(table: Tensor, ids: np.ndarray) -> Tensor:
@@ -477,55 +380,41 @@ def embedding(table: Tensor, ids: np.ndarray) -> Tensor:
             f"embedding: ids out of range [0, {table.data.shape[0]}), "
             f"got min {ids.min()} max {ids.max()}"
         )
-    out = Tensor._wrap(table.data[ids])
-    tape = _recording(table)
-    if tape is None:
-        return out
-    tt, table_shape = tape._target(table), table.data.shape
+    table_shape = table.data.shape
 
-    def bwd(g, accumulate):
+    def grad_fn(g):
         gt = np.zeros(table_shape)
         np.add.at(gt, ids, g)
-        accumulate(tt, gt)
+        return (gt,)
 
-    return tape._record(out, bwd)
+    return _output(table.data[ids], (table,), grad_fn)
 
 
 def reduce_sum(x: Tensor, axis: int | None = None) -> Tensor:
     x = _as_tensor(x)
     if axis is not None and not -x.data.ndim <= axis < x.data.ndim:
         raise ValueError(f"sum: axis {axis} out of range for shape {x.data.shape}")
-    out = Tensor._wrap(x.data.sum(axis=axis))
-    tape = _recording(x)
-    if tape is None:
-        return out
-    tx, x_shape = tape._target(x), x.data.shape
+    x_shape = x.data.shape
 
-    def bwd(g, accumulate):
+    def grad_fn(g):
         if axis is None:
-            accumulate(tx, np.full(x_shape, float(g)))
-        else:
-            accumulate(tx, np.broadcast_to(np.expand_dims(g, axis), x_shape).copy())
+            return (np.full(x_shape, float(g)),)
+        return (np.broadcast_to(np.expand_dims(g, axis), x_shape).copy(),)
 
-    return tape._record(out, bwd)
+    return _output(x.data.sum(axis=axis), (x,), grad_fn)
 
 
 def reduce_mean(x: Tensor, axis: int | None = None) -> Tensor:
     x = _as_tensor(x)
     if axis is not None and not -x.data.ndim <= axis < x.data.ndim:
         raise ValueError(f"mean: axis {axis} out of range for shape {x.data.shape}")
-    out = Tensor._wrap(x.data.mean(axis=axis))
-    tape = _recording(x)
-    if tape is None:
-        return out
-    tx, x_shape = tape._target(x), x.data.shape
+    x_shape = x.data.shape
     count = x.data.size if axis is None else x.data.shape[axis]
 
-    def bwd(g, accumulate):
+    def grad_fn(g):
         if axis is None:
-            accumulate(tx, np.full(x_shape, float(g) / count))
-        else:
-            scaled = np.expand_dims(g, axis) / count
-            accumulate(tx, np.broadcast_to(scaled, x_shape).copy())
+            return (np.full(x_shape, float(g) / count),)
+        scaled = np.expand_dims(g, axis) / count
+        return (np.broadcast_to(scaled, x_shape).copy(),)
 
-    return tape._record(out, bwd)
+    return _output(x.data.mean(axis=axis), (x,), grad_fn)

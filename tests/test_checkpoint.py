@@ -155,3 +155,17 @@ def test_load_rejects_mask_bits_of_the_wrong_length(tmp_path):
             fh.write(wrong)
         with pytest.raises(ValueError, match="masks.bin"):
             load_checkpoint(path)
+
+
+def test_load_rejects_a_mask_for_no_parameter(tmp_path):
+    path = str(tmp_path / "ck")
+    save_checkpoint(sample_checkpoint(), path)
+    index_path = os.path.join(path, "masks.json")
+    with open(index_path) as fh:
+        index = json.load(fh)
+    # still sorted after "a.weight", so the bit offsets stay contiguous
+    index["ghost.weight"] = index.pop("b.weight")
+    with open(index_path, "w") as fh:
+        json.dump(index, fh)
+    with pytest.raises(ValueError, match="'ghost.weight' does not match any parameter"):
+        load_checkpoint(path)

@@ -162,6 +162,9 @@ def test_soften_values():
         soften(np.array([2.0, 0.0]), 2.0), [0.7311, 0.2689], rtol=0, atol=1e-4)
     np.testing.assert_allclose(
         soften(np.array([2.0, 0.0]), 1e6), [0.5, 0.5], rtol=0, atol=1e-6)
+    for bad in (np.nan, np.inf, -np.inf):
+        with pytest.raises(ValueError, match="finite"):
+            soften(np.array([2.0, bad]), 1.0)
 
 
 def test_soften_sums_to_one_and_is_stable():

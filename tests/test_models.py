@@ -1,7 +1,10 @@
 """Tiny encoder: construction, forward invariants, teacher training."""
 
+import math
+
 import numpy as np
 import pytest
+from scipy.special import erf
 
 from gradprune.checkpoint import load_checkpoint, save_checkpoint
 from gradprune.distillation import TeacherHandle
@@ -13,6 +16,7 @@ from gradprune.models import (
     evaluate,
     init_parameters,
     parameter_shapes,
+    predict,
     prunable_parameter_names,
 )
 from gradprune.tasks import SyntheticTask, generate_task
@@ -238,3 +242,53 @@ def test_forward_rows_do_not_depend_on_batch():
         assert chunked(size).tobytes() == ref.tobytes()
     assert (evaluate(model, tokens, data.val.labels)
             == evaluate(model, tokens, data.val.labels, batch_size=256))
+
+
+def reference_logits(params: dict, cfg: TinyEncoderConfig,
+                     tokens: np.ndarray) -> np.ndarray:
+    """TinyEncoder.forward in bare numpy: the same operations in the same
+    order, with no Tensor, tape or op-level check in between."""
+    batch, seq = tokens.shape
+    head_dim = cfg.hidden_dim // cfg.num_heads
+    scale = 1.0 / math.sqrt(head_dim)
+
+    def linear(x, name):
+        lead = x.shape[:-1]
+        flat = x.reshape((int(np.prod(lead)), x.shape[-1]))
+        y = flat @ params[name + ".weight"] + params[name + ".bias"]
+        return y.reshape(lead + (y.shape[-1],))
+
+    def norm(x, name):
+        xc = x - x.mean(axis=-1, keepdims=True)
+        inv = 1.0 / np.sqrt(np.mean(xc * xc, axis=-1, keepdims=True) + 1e-5)
+        return xc * inv * params[name + ".gain"] + params[name + ".bias"]
+
+    def split_heads(x):
+        return x.reshape((batch, seq, cfg.num_heads, head_dim)).transpose((0, 2, 1, 3))
+
+    x = params["embedding.token.weight"][tokens]
+    x = x + params["embedding.position.weight"][np.arange(seq)]
+    for i in range(cfg.num_layers):
+        pre = f"encoder.layer{i}."
+        h = norm(x, pre + "norm1")
+        q, k, v = (split_heads(linear(h, pre + f"attention.{proj}"))
+                   for proj in ("query", "key", "value"))
+        scores = (q @ k.transpose((0, 1, 3, 2))) * scale
+        e = np.exp(scores - scores.max(axis=-1, keepdims=True))
+        attn = e / e.sum(axis=-1, keepdims=True)
+        ctx = (attn @ v).transpose((0, 2, 1, 3)).reshape((batch, seq, cfg.hidden_dim))
+        x = x + linear(ctx, pre + "attention.output")
+        h = linear(norm(x, pre + "norm2"), pre + "ffn.expand")
+        h = h * ((erf(h / math.sqrt(2.0)) + 1.0) * 0.5)
+        x = x + linear(h, pre + "ffn.reduce")
+    pooled = norm(x, "head.norm").mean(axis=1)
+    return pooled @ params["head.classifier.weight"] + params["head.classifier.bias"]
+
+
+def test_predict_is_bitwise_the_bare_numpy_forward(teacher_setup):
+    # a portable pin: it holds on any BLAS build, unlike stored digests
+    _, _, ckpt = teacher_setup
+    tokens = generate_task(SyntheticTask(val_size=1024)).val.tokens
+    model = encoder_from_checkpoint(ckpt, requires_grad=False)
+    expected = reference_logits(ckpt.params, model.config, tokens)
+    assert predict(model, tokens).tobytes() == expected.tobytes()

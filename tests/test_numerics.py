@@ -4,6 +4,8 @@ Every primitive's gradient is compared with central finite differences on
 small float64 tensors.
 """
 
+import weakref
+
 import numpy as np
 import pytest
 
@@ -211,6 +213,19 @@ def test_intermediates_get_no_gradient():
     assert h.grad is None
     assert loss.grad is None
     assert x.grad is not None
+
+
+def test_recorded_op_keeps_no_operand_its_backward_does_not_read():
+    x = Tensor(np.array([[0.5, -1.0], [2.0, 0.25]]), requires_grad=True)
+    with Tape() as tape:
+        h = gelu(x)
+        y = mul(h, 2.0)  # h's gradient reads only the constant 2.0
+        alive = weakref.ref(h.data)
+        del h
+        assert alive() is None
+        mul(gelu(Tensor(np.ones(3))), 2.0)  # no input needs a gradient
+    assert len(tape) == 2
+    assert y.requires_grad
 
 
 def test_output_of_another_tape_is_a_leaf_there():
