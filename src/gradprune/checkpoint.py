@@ -48,10 +48,14 @@ class Checkpoint:
                     )
 
 
+def canonical_json(obj) -> str:
+    """Canonical JSON text: sorted keys, two-space indent, trailing newline."""
+    return json.dumps(obj, sort_keys=True, indent=2) + "\n"
+
+
 def _dump_json(obj: dict, path: str) -> None:
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(obj, fh, sort_keys=True, indent=2)
-        fh.write("\n")
+        fh.write(canonical_json(obj))
 
 
 def save_checkpoint(ckpt: Checkpoint, directory: str) -> None:

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 
 from .checkpoint import load_checkpoint, save_checkpoint
@@ -37,7 +38,6 @@ from .harness import (
 from .recipes import (
     RecipeError,
     audit_recipe,
-    bundled_recipe_names,
     load_bundled,
     parse_recipe,
     recipe_hash,
@@ -48,12 +48,12 @@ from .tasks import SyntheticTask, generate_task
 
 def _add_task_args(parser: argparse.ArgumentParser) -> None:
     group = parser.add_argument_group("task")
-    group.add_argument("--task-classes", type=int, default=4)
-    group.add_argument("--task-seq-len", type=int, default=16)
-    group.add_argument("--task-vocab", type=int, default=64)
-    group.add_argument("--train-size", type=int, default=2048)
-    group.add_argument("--val-size", type=int, default=512)
-    group.add_argument("--task-seed", type=int, default=7)
+    group.add_argument("--task-classes", type=int, default=SyntheticTask.num_classes)
+    group.add_argument("--task-seq-len", type=int, default=SyntheticTask.sequence_length)
+    group.add_argument("--task-vocab", type=int, default=SyntheticTask.vocab_size)
+    group.add_argument("--train-size", type=int, default=SyntheticTask.train_size)
+    group.add_argument("--val-size", type=int, default=SyntheticTask.val_size)
+    group.add_argument("--task-seed", type=int, default=SyntheticTask.seed)
 
 
 def _task_from_args(args) -> SyntheticTask:
@@ -68,17 +68,10 @@ def _task_from_args(args) -> SyntheticTask:
 
 
 def _load_recipe(spec: str):
-    import os
-
     if os.path.exists(spec):
         with open(spec, "r", encoding="utf-8") as fh:
             return parse_recipe(fh.read())
-    if spec in bundled_recipe_names():
-        return load_bundled(spec)
-    raise RecipeError(
-        f"recipe {spec!r} is neither a file nor a bundled recipe; "
-        f"bundled: {bundled_recipe_names()}"
-    )
+    return load_bundled(spec)
 
 
 def _parse_values(text: str) -> list:

@@ -200,7 +200,7 @@ def _init_student(recipe: Recipe, data: TaskData, seed: int,
 
     prunable = {
         name: student.params[name]
-        for name in prunable_parameter_names(student.parameter_names())
+        for name in prunable_parameter_names(student.params)
     }
     masks = fresh_masks({n: p.data for n, p in prunable.items()})
     if init is not None:

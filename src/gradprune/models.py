@@ -138,9 +138,6 @@ class TinyEncoder:
     def build(cls, config: TinyEncoderConfig) -> "TinyEncoder":
         return cls(config, init_parameters(config))
 
-    def parameter_names(self) -> list[str]:
-        return list(self.params.keys())
-
     def _linear(self, x: Tensor, name: str) -> Tensor:
         w = self.params[name + ".weight"]
         b = self.params[name + ".bias"]

@@ -2,9 +2,12 @@
 
 A recipe file pins every knob of a run: stage, epochs, batch size, learning
 rate schedule, sparsity schedule (or null for dense), distillation settings,
-and weight decay. Parsing is strict: unknown keys anywhere are rejected with
-their JSON path, and every cross-field rule is checked up front so a bad
-recipe fails before any training starts.
+and weight decay. The dataclasses ``Recipe``, ``LRSpec``, ``SparsitySpec``
+and ``distillation.KDConfig`` are the format's schema: ``parse_recipe`` takes
+each object's exact key set and each value's type from their fields and
+annotations, then ``_check_rules`` applies every enum, range and cross-field
+rule. Each error names its JSON path, and a bad recipe fails before any
+training starts.
 
 ``compile_timeline`` turns a recipe plus a steps-per-epoch figure into the
 concrete per-step plan (lr value for every step, prune events with targets,
@@ -17,11 +20,14 @@ from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, fields, is_dataclass
 from importlib import resources
+from types import UnionType
+from typing import get_args, get_type_hints
 
 import numpy as np
 
+from .checkpoint import canonical_json
 from .distillation import KDConfig
 from .pruning import POLICIES
 from .schedules import cyclic_lr, event_targets, linear_decay, prune_event_steps
@@ -76,121 +82,121 @@ def _fail(path: str, message: str):
     raise RecipeError(f"{path}: {message}")
 
 
-def _expect_keys(obj: dict, keys: set[str], path: str) -> None:
-    """Exactly ``keys``: an unknown key fails first, then a missing one."""
-    unknown = set(obj) - keys
+# how a type error names each scalar annotation of the schema
+_EXPECTED = {bool: "a boolean", int: "an integer", float: "a number",
+             str: "a non-empty string", tuple[int, ...]: "a non-empty list of integers"}
+
+
+def _is_int(val) -> bool:
+    return isinstance(val, int) and not isinstance(val, bool)
+
+
+def _value(hint, val, path: str, nullable: bool = True):
+    """``val`` checked against one field annotation and converted: a number
+    becomes a float, an integer list a tuple and an object the annotated
+    dataclass. Null passes an ``X | None`` annotation only where
+    ``nullable``."""
+    or_null = ""
+    if isinstance(hint, UnionType):
+        hint, _ = get_args(hint)  # every union in the schema is X | None
+        if nullable:
+            if val is None:
+                return None
+            or_null = " or null"
+    if is_dataclass(hint) and isinstance(val, dict):
+        return _build(hint, val, path)
+    if hint is float and (_is_int(val) or isinstance(val, float)):
+        return float(val)
+    if hint == tuple[int, ...] and isinstance(val, list) and val and all(map(_is_int, val)):
+        return tuple(val)
+    if (hint is int and _is_int(val) or hint is bool and isinstance(val, bool)
+            or hint is str and isinstance(val, str) and val != ""):
+        return val
+    what = "an object" if is_dataclass(hint) else _EXPECTED[hint]
+    _fail(path, f"expected {what}{or_null}, got {val!r}")
+
+
+def _build(cls, obj: dict, path: str):
+    """Instance of dataclass ``cls`` from a decoded JSON object.
+
+    The keys are exactly ``cls``'s fields: an unknown key fails first, then
+    a missing one. A field whose default is None may be absent (and is None
+    then), but when present it holds a value; every other field is
+    required. ``cls``'s own ``ValueError`` comes back under ``path``.
+    """
+    specs = fields(cls)
+    unknown = set(obj) - {f.name for f in specs}
     if unknown:
         _fail(path, f"unknown key {sorted(unknown)[0]!r}")
-    missing = keys - set(obj)
+    missing = {f.name for f in specs if f.default is not None} - set(obj)
     if missing:
         _fail(path, f"missing key {sorted(missing)[0]!r}")
+    hints = get_type_hints(cls)
+    values = {f.name: _value(hints[f.name], obj[f.name], f"{path}.{f.name}",
+                             nullable=f.default is not None)
+              for f in specs if f.name in obj}
+    try:
+        return cls(**values)
+    except ValueError as exc:
+        raise RecipeError(f"{path}: {exc}") from None
 
 
-def _expect_int(obj: dict, key: str, path: str, minimum: int | None = None) -> int:
-    val = obj[key]
-    if isinstance(val, bool) or not isinstance(val, int):
-        _fail(f"{path}.{key}", f"expected an integer, got {val!r}")
-    if minimum is not None and val < minimum:
-        _fail(f"{path}.{key}", f"must be >= {minimum}, got {val}")
-    return val
+def _at_least(path: str, value: int, minimum: int) -> None:
+    if value < minimum:
+        _fail(path, f"must be >= {minimum}, got {value}")
 
 
-def _expect_number(obj: dict, key: str, path: str) -> float:
-    val = obj[key]
-    if isinstance(val, bool) or not isinstance(val, (int, float)):
-        _fail(f"{path}.{key}", f"expected a number, got {val!r}")
-    return float(val)
-
-
-def parse_recipe(source) -> Recipe:
-    """Parse a recipe from a JSON string or an already-decoded dict."""
-    if isinstance(source, str):
-        try:
-            obj = json.loads(source)
-        except json.JSONDecodeError as exc:
-            raise RecipeError(f"recipe: invalid JSON ({exc})") from None
-    else:
-        obj = source
-    if not isinstance(obj, dict):
-        _fail("recipe", f"expected an object, got {type(obj).__name__}")
-
-    top = {"name", "stage", "total_epochs", "batch_size", "weight_decay",
-           "seeds", "lr", "sparsity", "kd", "mask_source"}
-    _expect_keys(obj, top, "recipe")
-
-    name = obj["name"]
-    if not isinstance(name, str) or not name:
-        _fail("recipe.name", "expected a non-empty string")
-    stage = obj["stage"]
+def _check_rules(recipe: Recipe) -> None:
+    """Every enum, range and cross-field rule of a well-typed recipe."""
+    stage, total_epochs = recipe.stage, recipe.total_epochs
     if stage not in STAGES:
         _fail("recipe.stage", f"unknown stage {stage!r}, expected one of {STAGES}")
-    total_epochs = _expect_int(obj, "total_epochs", "recipe", minimum=1)
-    batch_size = _expect_int(obj, "batch_size", "recipe", minimum=1)
-    weight_decay = _expect_number(obj, "weight_decay", "recipe")
-    if weight_decay < 0.0:
-        _fail("recipe.weight_decay", f"must be >= 0, got {weight_decay}")
-
-    seeds = obj["seeds"]
-    if not isinstance(seeds, list) or not seeds:
-        _fail("recipe.seeds", "expected a non-empty list of integers")
-    for i, s in enumerate(seeds):
-        if isinstance(s, bool) or not isinstance(s, int):
-            _fail(f"recipe.seeds[{i}]", f"expected an integer, got {s!r}")
-    if len(set(seeds)) != len(seeds):
+    _at_least("recipe.total_epochs", total_epochs, 1)
+    _at_least("recipe.batch_size", recipe.batch_size, 1)
+    if recipe.weight_decay < 0.0:
+        _fail("recipe.weight_decay", f"must be >= 0, got {recipe.weight_decay}")
+    if len(set(recipe.seeds)) != len(recipe.seeds):
         _fail("recipe.seeds", "seeds must be distinct")
 
-    lr_obj = obj["lr"]
-    if not isinstance(lr_obj, dict):
-        _fail("recipe.lr", "expected an object")
-    kind = lr_obj.get("kind")
-    if kind not in LR_KINDS:
-        _fail("recipe.lr.kind", f"unknown kind {kind!r}, expected one of {LR_KINDS}")
-    if kind == "cyclic":
-        _expect_keys(lr_obj, {"kind", "initial", "final", "cycle_length_epochs"},
-                     "recipe.lr")
-        initial = _expect_number(lr_obj, "initial", "recipe.lr")
-        final = _expect_number(lr_obj, "final", "recipe.lr")
-        cycle = _expect_number(lr_obj, "cycle_length_epochs", "recipe.lr")
-        if not initial > final > 0.0:
-            _fail("recipe.lr", f"need initial > final > 0, got {initial} and {final}")
+    lr = recipe.lr
+    if lr.kind not in LR_KINDS:
+        _fail("recipe.lr.kind", f"unknown kind {lr.kind!r}, expected one of {LR_KINDS}")
+    # a cyclic schedule needs both of these keys, a linear one neither
+    for key in ("cycle_length_epochs", "final"):
+        if lr.kind == "cyclic" and getattr(lr, key) is None:
+            _fail("recipe.lr", f"missing key {key!r}")
+        if lr.kind == "linear" and getattr(lr, key) is not None:
+            _fail("recipe.lr", f"unknown key {key!r}")
+    if lr.kind == "cyclic":
+        cycle = lr.cycle_length_epochs
+        if not lr.initial > lr.final > 0.0:
+            _fail("recipe.lr", f"need initial > final > 0, got {lr.initial} and {lr.final}")
         if cycle <= 0.0:
             _fail("recipe.lr.cycle_length_epochs", f"must be > 0, got {cycle}")
         ratio = total_epochs / cycle
         if abs(ratio - round(ratio)) > 1e-9:
             _fail("recipe.lr.cycle_length_epochs",
                   f"{cycle} does not divide total_epochs {total_epochs}")
-        lr = LRSpec(kind="cyclic", initial=initial, final=final,
-                    cycle_length_epochs=cycle)
-    else:
-        _expect_keys(lr_obj, {"kind", "initial"}, "recipe.lr")
-        initial = _expect_number(lr_obj, "initial", "recipe.lr")
-        if initial <= 0.0:
-            _fail("recipe.lr.initial", f"must be > 0, got {initial}")
-        lr = LRSpec(kind="linear", initial=initial)
+    elif lr.initial <= 0.0:
+        _fail("recipe.lr.initial", f"must be > 0, got {lr.initial}")
 
-    sparsity_obj = obj["sparsity"]
-    sparsity = None
-    if sparsity_obj is not None:
-        if not isinstance(sparsity_obj, dict):
-            _fail("recipe.sparsity", "expected an object or null")
-        keys = {"initial_step", "final", "head_freeze_epochs", "tail_freeze_epochs",
-                "prune_frequency_per_epoch", "policy"}
-        _expect_keys(sparsity_obj, keys, "recipe.sparsity")
-        initial_step = _expect_number(sparsity_obj, "initial_step", "recipe.sparsity")
-        final = _expect_number(sparsity_obj, "final", "recipe.sparsity")
-        head = _expect_int(sparsity_obj, "head_freeze_epochs", "recipe.sparsity", minimum=0)
-        tail = _expect_int(sparsity_obj, "tail_freeze_epochs", "recipe.sparsity", minimum=0)
-        freq = _expect_int(sparsity_obj, "prune_frequency_per_epoch", "recipe.sparsity", minimum=1)
-        policy = sparsity_obj["policy"]
-        if policy not in POLICIES:
+    sp = recipe.sparsity
+    if sp is not None:
+        head, tail, freq = (sp.head_freeze_epochs, sp.tail_freeze_epochs,
+                            sp.prune_frequency_per_epoch)
+        _at_least("recipe.sparsity.head_freeze_epochs", head, 0)
+        _at_least("recipe.sparsity.tail_freeze_epochs", tail, 0)
+        _at_least("recipe.sparsity.prune_frequency_per_epoch", freq, 1)
+        if sp.policy not in POLICIES:
             _fail("recipe.sparsity.policy",
-                  f"unknown policy {policy!r}, expected one of {POLICIES}")
-        if not 0.0 <= initial_step < 1.0:
-            _fail("recipe.sparsity.initial_step", f"must be in [0, 1), got {initial_step}")
-        if not 0.0 < final <= 1.0:
-            _fail("recipe.sparsity.final", f"must be in (0, 1], got {final}")
-        if initial_step >= final:
-            _fail("recipe.sparsity", f"initial_step {initial_step} must be below final {final}")
+                  f"unknown policy {sp.policy!r}, expected one of {POLICIES}")
+        if not 0.0 <= sp.initial_step < 1.0:
+            _fail("recipe.sparsity.initial_step", f"must be in [0, 1), got {sp.initial_step}")
+        if not 0.0 < sp.final <= 1.0:
+            _fail("recipe.sparsity.final", f"must be in (0, 1], got {sp.final}")
+        if sp.initial_step >= sp.final:
+            _fail("recipe.sparsity",
+                  f"initial_step {sp.initial_step} must be below final {sp.final}")
         if head + tail >= total_epochs:
             _fail("recipe.sparsity",
                   f"freeze windows ({head} head + {tail} tail) leave no epochs "
@@ -199,52 +205,34 @@ def parse_recipe(source) -> Recipe:
         if num_events < 2:
             _fail("recipe.sparsity",
                   f"the cubic ramp needs at least 2 prune events, got {num_events}")
-        sparsity = SparsitySpec(
-            initial_step=initial_step, final=final, head_freeze_epochs=head,
-            tail_freeze_epochs=tail, prune_frequency_per_epoch=freq, policy=policy,
-        )
-
-    kd_obj = obj["kd"]
-    if not isinstance(kd_obj, dict):
-        _fail("recipe.kd", "expected an object")
-    kd_keys = {"hardness", "temperature", "scale_kl_by_t_squared"}
-    _expect_keys(kd_obj, kd_keys, "recipe.kd")
-    hardness = _expect_number(kd_obj, "hardness", "recipe.kd")
-    temperature = _expect_number(kd_obj, "temperature", "recipe.kd")
-    scale_flag = kd_obj["scale_kl_by_t_squared"]
-    if not isinstance(scale_flag, bool):
-        _fail("recipe.kd.scale_kl_by_t_squared", f"expected a boolean, got {scale_flag!r}")
-    try:
-        kd = KDConfig(hardness=hardness, temperature=temperature,
-                      scale_kl_by_t_squared=scale_flag)
-    except ValueError as exc:
-        raise RecipeError(f"recipe.kd: {exc}") from None
-
-    mask_source = obj["mask_source"]
-    if mask_source is not None and (not isinstance(mask_source, str) or not mask_source):
-        _fail("recipe.mask_source", "expected a non-empty string or null")
 
     if stage == "upstream-finetune":
-        if mask_source is None:
+        if recipe.mask_source is None:
             _fail("recipe.mask_source", "required for the upstream-finetune stage")
-        if sparsity is not None:
+        if sp is not None:
             _fail("recipe.sparsity", "must be null for the upstream-finetune stage "
                                      "(masks come from mask_source and stay fixed)")
         if lr.kind != "linear":
             _fail("recipe.lr.kind", "upstream-finetune uses a one-shot linear decay")
-    elif mask_source is not None:
+    elif recipe.mask_source is not None:
         _fail("recipe.mask_source", f"only valid for upstream-finetune, not {stage}")
 
-    return Recipe(
-        name=name, stage=stage, total_epochs=total_epochs, batch_size=batch_size,
-        weight_decay=weight_decay, seeds=tuple(seeds), lr=lr, sparsity=sparsity,
-        kd=kd, mask_source=mask_source,
-    )
+
+def parse_recipe(source) -> Recipe:
+    """Parse a recipe from a JSON string or an already-decoded dict."""
+    if isinstance(source, str):
+        try:
+            source = json.loads(source)
+        except json.JSONDecodeError as exc:
+            raise RecipeError(f"recipe: invalid JSON ({exc})") from None
+    recipe = _value(Recipe, source, "recipe")
+    _check_rules(recipe)
+    return recipe
 
 
 def serialize_recipe(recipe: Recipe) -> str:
-    """Canonical JSON text (sorted keys, two-space indent, trailing newline)."""
-    return json.dumps(recipe.to_dict(), sort_keys=True, indent=2) + "\n"
+    """The recipe's canonical JSON text, which ``recipe_hash`` hashes."""
+    return canonical_json(recipe.to_dict())
 
 
 def recipe_hash(recipe: Recipe) -> str:

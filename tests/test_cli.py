@@ -6,7 +6,8 @@ import os
 import numpy as np
 import pytest
 
-from gradprune.cli import main
+from gradprune.cli import _task_from_args, build_parser, main
+from gradprune.tasks import SyntheticTask
 
 TASK_ARGS = ["--train-size", "320", "--val-size", "64"]
 
@@ -63,6 +64,21 @@ def test_validate_recipe_rejects_malformed_file(tmp_path, capsys):
     assert main(["validate-recipe", "--recipe", path]) == 1
     record = json.loads(capsys.readouterr().err)
     assert record["error"] == "invalid-recipe"
+
+
+def test_unknown_recipe_names_the_bundled_ones(capsys):
+    assert main(["validate-recipe", "--recipe", "no-such-recipe"]) == 1
+    record = json.loads(capsys.readouterr().err)
+    assert record["error"] == "invalid-recipe"
+    assert "no-such-recipe" in record["detail"]
+    for name in ("downstream-10ep", "downstream-30ep", "upstream-3ep",
+                 "upstream-finetune-8ep"):
+        assert name in record["detail"]
+
+
+def test_task_flags_default_to_the_synthetic_task_defaults():
+    args = build_parser().parse_args(["run", "--recipe", "downstream-10ep"])
+    assert _task_from_args(args) == SyntheticTask()
 
 
 def test_unknown_flag_is_rejected():

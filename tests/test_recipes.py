@@ -198,6 +198,105 @@ def test_cross_field_rules():
         parse_recipe(json.dumps(doc))
 
 
+DELETE = object()
+CYCLIC_LR = {"kind": "cyclic", "initial": 1e-4, "final": 1e-6, "cycle_length_epochs": 2}
+
+# (bundled recipe, {dotted key: new value or DELETE}, expected message prefix).
+# The prefix is the JSON path of the fault and its colon; "recipe.seeds" and
+# "recipe.lr" leave the colon off so that a report at the element
+# ("recipe.seeds[1]") or at the key ("recipe.lr.kind") matches as well.
+REJECTIONS = [
+    ("downstream-10ep", {"batch_size": DELETE}, "recipe: "),
+    ("downstream-10ep", {"extra": 1}, "recipe: "),
+    ("downstream-10ep", {"name": ""}, "recipe.name: "),
+    ("downstream-10ep", {"name": 5}, "recipe.name: "),
+    ("downstream-10ep", {"stage": "midstream"}, "recipe.stage: "),
+    ("downstream-10ep", {"stage": 3}, "recipe.stage: "),
+    ("downstream-10ep", {"total_epochs": True}, "recipe.total_epochs: "),
+    ("downstream-10ep", {"total_epochs": 2.5}, "recipe.total_epochs: "),
+    ("downstream-10ep", {"total_epochs": 0}, "recipe.total_epochs: "),
+    ("downstream-10ep", {"batch_size": 0}, "recipe.batch_size: "),
+    ("downstream-10ep", {"weight_decay": False}, "recipe.weight_decay: "),
+    ("downstream-10ep", {"weight_decay": -0.01}, "recipe.weight_decay: "),
+    ("downstream-10ep", {"seeds": 1}, "recipe.seeds: "),
+    ("downstream-10ep", {"seeds": []}, "recipe.seeds: "),
+    ("downstream-10ep", {"seeds": [1, True]}, "recipe.seeds"),
+    ("downstream-10ep", {"seeds": [1, 1]}, "recipe.seeds: "),
+    ("downstream-10ep", {"mask_source": ""}, "recipe.mask_source: "),
+    ("downstream-10ep", {"mask_source": "upstream-3ep"}, "recipe.mask_source: "),
+    ("downstream-10ep", {"lr": 1}, "recipe.lr: "),
+    ("downstream-10ep", {"lr.kind": DELETE}, "recipe.lr"),
+    ("downstream-10ep", {"lr.kind": "step"}, "recipe.lr.kind: "),
+    ("downstream-10ep", {"lr.warmup": 1}, "recipe.lr: "),
+    ("downstream-10ep", {"lr.final": DELETE}, "recipe.lr: "),
+    ("downstream-10ep", {"lr.cycle_length_epochs": DELETE}, "recipe.lr: "),
+    ("downstream-10ep", {"lr.initial": True}, "recipe.lr.initial: "),
+    ("downstream-10ep", {"lr.final": None}, "recipe.lr.final: "),
+    ("downstream-10ep", {"lr.initial": 1e-7}, "recipe.lr: "),
+    ("downstream-10ep", {"lr.final": 0}, "recipe.lr: "),
+    ("downstream-10ep", {"lr.cycle_length_epochs": 0}, "recipe.lr.cycle_length_epochs: "),
+    ("downstream-10ep", {"lr.cycle_length_epochs": 3}, "recipe.lr.cycle_length_epochs: "),
+    ("upstream-finetune-8ep", {"lr.final": 1e-6}, "recipe.lr: "),
+    ("upstream-finetune-8ep", {"lr.initial": 0}, "recipe.lr.initial: "),
+    ("upstream-finetune-8ep", {"lr": CYCLIC_LR}, "recipe.lr.kind: "),
+    ("downstream-10ep", {"sparsity": 1}, "recipe.sparsity: "),
+    ("downstream-10ep", {"sparsity.policy": DELETE}, "recipe.sparsity: "),
+    ("downstream-10ep", {"sparsity.frequency": 10}, "recipe.sparsity: "),
+    ("downstream-10ep", {"sparsity.policy": "magnitude"}, "recipe.sparsity.policy: "),
+    ("downstream-10ep", {"sparsity.policy": 7}, "recipe.sparsity.policy: "),
+    ("downstream-10ep", {"sparsity.head_freeze_epochs": -1},
+     "recipe.sparsity.head_freeze_epochs: "),
+    ("downstream-10ep", {"sparsity.tail_freeze_epochs": 1.5},
+     "recipe.sparsity.tail_freeze_epochs: "),
+    ("downstream-10ep", {"sparsity.prune_frequency_per_epoch": 0},
+     "recipe.sparsity.prune_frequency_per_epoch: "),
+    ("downstream-10ep", {"sparsity.initial_step": -0.1}, "recipe.sparsity.initial_step: "),
+    ("downstream-10ep", {"sparsity.initial_step": 1.0}, "recipe.sparsity.initial_step: "),
+    ("downstream-10ep", {"sparsity.final": 0}, "recipe.sparsity.final: "),
+    ("downstream-10ep", {"sparsity.final": 1.5}, "recipe.sparsity.final: "),
+    ("downstream-10ep", {"sparsity.initial_step": 0.95}, "recipe.sparsity: "),
+    ("downstream-10ep", {"sparsity.head_freeze_epochs": 8}, "recipe.sparsity: "),
+    ("downstream-10ep", {"sparsity.head_freeze_epochs": 4, "sparsity.tail_freeze_epochs": 5,
+                         "sparsity.prune_frequency_per_epoch": 1}, "recipe.sparsity: "),
+    ("downstream-10ep", {"kd": 1}, "recipe.kd: "),
+    ("downstream-10ep", {"kd.hardness": DELETE}, "recipe.kd: "),
+    ("downstream-10ep", {"kd.alpha": 0.5}, "recipe.kd: "),
+    ("downstream-10ep", {"kd.temperature": "5.5"}, "recipe.kd.temperature: "),
+    ("downstream-10ep", {"kd.scale_kl_by_t_squared": 1}, "recipe.kd.scale_kl_by_t_squared: "),
+    ("downstream-10ep", {"kd.hardness": 1.5}, "recipe.kd: "),
+    ("downstream-10ep", {"kd.temperature": 0}, "recipe.kd: "),
+    ("upstream-finetune-8ep", {"mask_source": None}, "recipe.mask_source: "),
+    ("upstream-finetune-8ep", {"sparsity": load_bundled("downstream-10ep").to_dict()["sparsity"]},
+     "recipe.sparsity: "),
+]
+
+
+@pytest.mark.parametrize("name,edits,prefix", REJECTIONS,
+                         ids=[f"{n}:" + ",".join(f"{k}={'<del>' if v is DELETE else v!r}"
+                                                  for k, v in e.items())
+                              for n, e, _ in REJECTIONS])
+def test_rejection_names_the_json_path(name, edits, prefix):
+    doc = json.loads(serialize_recipe(load_bundled(name)))
+    for dotted, value in edits.items():
+        *parents, key = dotted.split(".")
+        node = doc
+        for part in parents:
+            node = node[part]
+        if value is DELETE:
+            del node[key]
+        else:
+            node[key] = value
+    with pytest.raises(RecipeError) as info:
+        parse_recipe(json.dumps(doc))
+    assert str(info.value).startswith(prefix)
+
+
+@pytest.mark.parametrize("text", ["[1, 2]", "{", '"downstream-10ep"'])
+def test_non_object_documents_are_rejected_at_the_root(text):
+    with pytest.raises(RecipeError, match="^recipe: "):
+        parse_recipe(text)
+
+
 def test_override_field_validates():
     r = load_bundled("downstream-10ep")
     changed = override_field(r, "sparsity.final", 0.97)
