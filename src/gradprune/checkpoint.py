@@ -2,26 +2,30 @@
 
 Layout, all inside one directory:
 
-    manifest.json   config, metadata, tensor index (shape/offset/size)
+    manifest.json   format_version, config, metadata, ``tensors`` (name ->
+                    shape list) and ``masks`` (name -> shape list, only
+                    when masks are present)
     data.bin        float64 ('<f8') tensor payloads, concatenated
-    masks.json      mask index (only when masks are present)
-    masks.bin       mask bits packed little-endian, concatenated
+    masks.bin       mask bits packed little-endian, concatenated (exactly
+                    when the manifest has ``masks``)
 
-Tensors and masks are serialized in sorted-name order with canonical JSON
-(sorted keys, fixed indent), so save -> load -> save reproduces the same
-bytes. This module knows nothing about model architecture; shape-vs-config
+The manifest is the only index: payloads follow sorted-name order, so where
+each tensor lies follows from the shapes. It is written last, as canonical
+JSON (sorted keys, fixed indent), so save -> load -> save reproduces the
+same bytes. This module knows nothing about model architecture; shape-vs-config
 validation lives with the model code.
 """
 
 from __future__ import annotations
 
 import json
+import math
 import os
 from dataclasses import dataclass, field
 
 import numpy as np
 
-FORMAT_VERSION = 1
+FORMAT_VERSION = 2
 
 
 @dataclass
@@ -61,60 +65,64 @@ def _dump_json(obj: dict, path: str) -> None:
 def save_checkpoint(ckpt: Checkpoint, directory: str) -> None:
     """Write a checkpoint directory (created if needed, files overwritten)."""
     os.makedirs(directory, exist_ok=True)
-    index = {}
-    offset = 0
-    payload = []
-    for name in sorted(ckpt.params):
-        arr = np.ascontiguousarray(ckpt.params[name], dtype="<f8")
-        index[name] = {
-            "shape": list(arr.shape),
-            "offset": offset,
-            "size": int(arr.size),
-        }
-        payload.append(arr.tobytes())
-        offset += arr.nbytes
     manifest = {
         "format_version": FORMAT_VERSION,
         "config": ckpt.config,
         "metadata": ckpt.metadata,
-        "tensors": index,
+        "tensors": {name: list(arr.shape) for name, arr in ckpt.params.items()},
     }
     with open(os.path.join(directory, "data.bin"), "wb") as fh:
-        fh.write(b"".join(payload))
+        fh.write(b"".join(np.ascontiguousarray(ckpt.params[name], dtype="<f8").tobytes()
+                          for name in sorted(ckpt.params)))
+    mask_bin = os.path.join(directory, "masks.bin")
+    if ckpt.masks is not None:
+        manifest["masks"] = {name: list(mask.shape) for name, mask in ckpt.masks.items()}
+        bits = np.concatenate([ckpt.masks[name].reshape(-1) for name in sorted(ckpt.masks)])
+        with open(mask_bin, "wb") as fh:
+            fh.write(np.packbits(bits, bitorder="little").tobytes())
+    elif os.path.exists(mask_bin):
+        os.remove(mask_bin)
     _dump_json(manifest, os.path.join(directory, "manifest.json"))
 
-    mask_json = os.path.join(directory, "masks.json")
-    mask_bin = os.path.join(directory, "masks.bin")
-    if ckpt.masks is None:
-        for path in (mask_json, mask_bin):
-            if os.path.exists(path):
-                os.remove(path)
-        return
-    bits = []
-    mask_index = {}
-    bit_offset = 0
-    for name in sorted(ckpt.masks):
-        mask = ckpt.masks[name]
-        mask_index[name] = {
-            "shape": list(mask.shape),
-            "bit_offset": bit_offset,
-            "num_bits": int(mask.size),
-        }
-        bits.append(mask.reshape(-1))
-        bit_offset += mask.size
-    packed = np.packbits(np.concatenate(bits), bitorder="little")
-    with open(mask_bin, "wb") as fh:
-        fh.write(packed.tobytes())
-    _dump_json(mask_index, mask_json)
+
+def _split(flat: np.ndarray, index, file: str, padding: int = 0) -> dict[str, np.ndarray]:
+    """Cut ``flat`` into ``index``'s shapes (name -> shape list) in
+    sorted-name order. ``flat`` must hold exactly the values the shapes
+    account for, plus at most ``padding`` trailing ones; errors name
+    ``file``, the payload ``flat`` was read from."""
+    if not isinstance(index, dict):
+        raise ValueError(f"{file}: its index must map names to shape lists, got {index!r}")
+    shapes = {}
+    for name in sorted(index):
+        shape = index[name]
+        if not (isinstance(shape, list)
+                and all(type(dim) is int and dim >= 0 for dim in shape)):
+            raise ValueError(
+                f"{file}: shape of {name!r} must be a list of non-negative "
+                f"integers, got {shape!r}"
+            )
+        shapes[name] = tuple(shape)
+    total = sum(math.prod(shape) for shape in shapes.values())
+    if not 0 <= flat.size - total <= padding:
+        raise ValueError(f"{file} holds {flat.size} values, its shapes account for {total}")
+    out, start = {}, 0
+    for name, shape in shapes.items():
+        size = math.prod(shape)
+        out[name] = flat[start:start + size].reshape(shape)
+        start += size
+    return out
 
 
 def load_checkpoint(directory: str) -> Checkpoint:
-    """Read a checkpoint directory back into memory, validating the index."""
+    """Read a checkpoint directory back into memory, checking every payload
+    against the manifest's shapes."""
     manifest_path = os.path.join(directory, "manifest.json")
     if not os.path.isfile(manifest_path):
         raise FileNotFoundError(f"no manifest.json in {directory}")
     with open(manifest_path, "r", encoding="utf-8") as fh:
         manifest = json.load(fh)
+    if not isinstance(manifest, dict):
+        raise ValueError(f"manifest.json must hold an object, got {manifest!r}")
     for key in ("format_version", "config", "metadata", "tensors"):
         if key not in manifest:
             raise ValueError(f"manifest.json missing key {key!r}")
@@ -125,54 +133,20 @@ def load_checkpoint(directory: str) -> Checkpoint:
         )
     with open(os.path.join(directory, "data.bin"), "rb") as fh:
         blob = fh.read()
-    params: dict[str, np.ndarray] = {}
-    expected_offset = 0
-    for name in sorted(manifest["tensors"]):
-        entry = manifest["tensors"][name]
-        shape = tuple(entry["shape"])
-        size = int(np.prod(shape, dtype=np.int64)) if shape else 1
-        if size != entry["size"]:
-            raise ValueError(f"tensor {name}: size {entry['size']} does not match shape {shape}")
-        if entry["offset"] != expected_offset:
-            raise ValueError(f"tensor {name}: offset {entry['offset']} is not contiguous")
-        start, nbytes = entry["offset"], size * 8
-        if start + nbytes > len(blob):
-            raise ValueError(f"tensor {name}: data.bin too short")
-        params[name] = np.frombuffer(
-            blob, dtype="<f8", count=size, offset=start
-        ).reshape(shape).copy()
-        expected_offset += nbytes
-    if expected_offset != len(blob):
-        raise ValueError(
-            f"data.bin has {len(blob)} bytes, index accounts for {expected_offset}"
-        )
+    if len(blob) % 8:
+        raise ValueError(f"data.bin holds {len(blob)} bytes, not a whole number of float64s")
+    params = _split(np.frombuffer(blob, dtype="<f8").copy(), manifest["tensors"], "data.bin")
 
     masks = None
-    mask_json = os.path.join(directory, "masks.json")
-    if os.path.isfile(mask_json):
-        with open(mask_json, "r", encoding="utf-8") as fh:
-            mask_index = json.load(fh)
-        with open(os.path.join(directory, "masks.bin"), "rb") as fh:
+    mask_bin = os.path.join(directory, "masks.bin")
+    if ("masks" in manifest) != os.path.isfile(mask_bin):
+        raise ValueError("masks.bin must exist exactly when manifest.json lists masks")
+    if "masks" in manifest:
+        with open(mask_bin, "rb") as fh:
             packed = np.frombuffer(fh.read(), dtype=np.uint8)
-        total_bits = sum(int(e["num_bits"]) for e in mask_index.values())
-        if packed.size != (total_bits + 7) // 8:
-            raise ValueError(
-                f"masks.bin has {packed.size} bytes, index accounts for "
-                f"{total_bits} bits"
-            )
-        flat = np.unpackbits(packed, count=total_bits, bitorder="little").astype(bool)
-        masks = {}
-        expected_bit = 0
-        for name in sorted(mask_index):
-            entry = mask_index[name]
-            if entry["bit_offset"] != expected_bit:
-                raise ValueError(f"mask {name}: bit offset {entry['bit_offset']} is not contiguous")
-            shape = tuple(entry["shape"])
-            size = int(np.prod(shape, dtype=np.int64)) if shape else 1
-            if size != entry["num_bits"]:
-                raise ValueError(f"mask {name}: num_bits {entry['num_bits']} does not match shape {shape}")
-            masks[name] = flat[expected_bit:expected_bit + size].reshape(shape)
-            expected_bit += size
+        # packbits pads the last byte, so up to 7 trailing bits are not masks
+        bits = np.unpackbits(packed, bitorder="little").astype(bool)
+        masks = _split(bits, manifest["masks"], "masks.bin", padding=7)
     return Checkpoint(
         config=manifest["config"],
         params=params,

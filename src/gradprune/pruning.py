@@ -139,17 +139,15 @@ def mask_sparsity(masks: dict[str, np.ndarray]) -> float:
 
 
 def sparsity_report(masks: dict[str, np.ndarray]) -> dict:
-    """Aggregate and per-tensor sparsity, plus raw counts."""
-    per_tensor = {
-        name: float((m.size - m.sum()) / m.size) for name, m in masks.items()
-    }
-    total = sum(m.size for m in masks.values())
-    zeros = sum(int(m.size - m.sum()) for m in masks.values())
+    """Aggregate sparsity (``mask_sparsity``), per-tensor sparsity and raw
+    counts."""
     return {
-        "aggregate": zeros / total,
-        "per_tensor": per_tensor,
-        "total_prunable": total,
-        "total_masked": zeros,
+        "aggregate": mask_sparsity(masks),
+        "per_tensor": {
+            name: float((m.size - m.sum()) / m.size) for name, m in masks.items()
+        },
+        "total_prunable": sum(m.size for m in masks.values()),
+        "total_masked": sum(int(m.size - m.sum()) for m in masks.values()),
     }
 
 

@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import sys
 from dataclasses import asdict, dataclass, fields, is_dataclass
 from importlib import resources
 from types import UnionType
@@ -83,7 +84,7 @@ def _fail(path: str, message: str):
 
 
 # how a type error names each scalar annotation of the schema
-_EXPECTED = {bool: "a boolean", int: "an integer", float: "a number",
+_EXPECTED = {bool: "a boolean", int: "an integer", float: "a finite number",
              str: "a non-empty string", tuple[int, ...]: "a non-empty list of integers"}
 
 
@@ -92,9 +93,9 @@ def _is_int(val) -> bool:
 
 
 def _value(hint, val, path: str, nullable: bool = True):
-    """``val`` checked against one field annotation and converted: a number
-    becomes a float, an integer list a tuple and an object the annotated
-    dataclass. Null passes an ``X | None`` annotation only where
+    """``val`` checked against one field annotation and converted: a finite
+    number becomes a float, an integer list a tuple and an object the
+    annotated dataclass. Null passes an ``X | None`` annotation only where
     ``nullable``."""
     or_null = ""
     if isinstance(hint, UnionType):
@@ -105,7 +106,8 @@ def _value(hint, val, path: str, nullable: bool = True):
             or_null = " or null"
     if is_dataclass(hint) and isinstance(val, dict):
         return _build(hint, val, path)
-    if hint is float and (_is_int(val) or isinstance(val, float)):
+    if (hint is float and (_is_int(val) or isinstance(val, float))
+            and abs(val) <= sys.float_info.max):  # not NaN, ±inf or beyond a float
         return float(val)
     if hint == tuple[int, ...] and isinstance(val, list) and val and all(map(_is_int, val)):
         return tuple(val)

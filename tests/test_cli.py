@@ -2,6 +2,7 @@
 
 import json
 import os
+import shutil
 
 import numpy as np
 import pytest
@@ -64,6 +65,20 @@ def test_validate_recipe_rejects_malformed_file(tmp_path, capsys):
     assert main(["validate-recipe", "--recipe", path]) == 1
     record = json.loads(capsys.readouterr().err)
     assert record["error"] == "invalid-recipe"
+
+
+def test_validate_recipe_rejects_an_integer_too_large_for_a_float(tmp_path, capsys):
+    with open(os.path.join("src", "gradprune", "data",
+                           "downstream-10ep.json")) as fh:
+        doc = json.load(fh)
+    doc["weight_decay"] = 10 ** 400
+    path = str(tmp_path / "huge.json")
+    with open(path, "w") as fh:
+        json.dump(doc, fh)
+    assert main(["validate-recipe", "--recipe", path]) == 1
+    record = json.loads(capsys.readouterr().err)
+    assert record["error"] == "invalid-recipe"
+    assert record["detail"].startswith("recipe.weight_decay: ")
 
 
 def test_unknown_recipe_names_the_bundled_ones(capsys):
@@ -155,3 +170,21 @@ def test_teacher_stats_csv(teacher_dir, capsys):
         by_temp[(sample, temp)] = float(entropy)
     for s in range(8):
         assert by_temp[(str(s), "5.5")] >= by_temp[(str(s), "1")] - 1e-12
+
+
+def test_teacher_stats_on_a_malformed_checkpoint_is_an_error_record(
+        teacher_dir, tmp_path, capsys):
+    bad = str(tmp_path / "teacher")
+    shutil.copytree(teacher_dir, bad)
+    with open(os.path.join(bad, "manifest.json")) as fh:
+        manifest = json.load(fh)
+    name = sorted(manifest["tensors"])[0]
+    manifest["tensors"][name] = {"shape": manifest["tensors"][name]}
+    with open(os.path.join(bad, "manifest.json"), "w") as fh:
+        json.dump(manifest, fh)
+    assert main(["teacher-stats", "--teacher", bad, *TASK_ARGS]) == 1
+    err = capsys.readouterr().err
+    assert len(err.splitlines()) == 1
+    record = json.loads(err)
+    assert record["error"] == "ValueError"
+    assert name in record["detail"] and "data.bin" in record["detail"]

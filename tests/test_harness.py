@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from gradprune import harness
+from gradprune.checkpoint import Checkpoint, load_checkpoint, save_checkpoint
 from gradprune.distillation import TeacherHandle
 from gradprune.harness import (
     METRICS_COLUMNS,
@@ -84,7 +85,7 @@ def test_same_inputs_give_byte_identical_outputs(data, tmp_path):
     assert set(tree_a) == {
         "metrics.csv", "summary.json",
         "checkpoint/manifest.json", "checkpoint/data.bin",
-        "checkpoint/masks.json", "checkpoint/masks.bin",
+        "checkpoint/masks.bin",
     }
     assert tree_a == tree_b
 
@@ -236,6 +237,23 @@ def test_finetune_init_must_come_from_the_mask_source(data, teacher, init_recipe
         run(finetune, data, seed=0, init=init)
     assert "'upstream-3ep'" in str(info.value)
     assert repr(init_recipe) in str(info.value)
+
+
+def test_finetune_init_may_mask_only_prunable_tensors(data, teacher, tmp_path):
+    masks = {"head.classifier.weight": teacher.params["head.classifier.weight"] != 0.0}
+    path = str(tmp_path / "init")
+    save_checkpoint(Checkpoint(config=teacher.config, params=teacher.params,
+                               masks=masks, metadata={"recipe": "tiny-test"}), path)
+    finetune = make_recipe(
+        name="tiny-finetune",
+        stage="upstream-finetune",
+        sparsity=None,
+        lr={"kind": "linear", "initial": 1e-3},
+        mask_source="tiny-test",
+    )
+    with pytest.raises(ValueError, match="init checkpoint masks a non-prunable tensor "
+                                         "'head.classifier.weight'"):
+        run(finetune, data, seed=0, init=load_checkpoint(path))
 
 
 def test_finetune_without_init_is_an_error(data):

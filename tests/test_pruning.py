@@ -212,6 +212,8 @@ def test_sparsity_report_counts():
     assert report["per_tensor"]["a"] == 0.5
     assert report["per_tensor"]["b"] == 0.0
     assert report["total_masked"] == 2 and report["total_prunable"] == 10
+    with pytest.raises(ValueError, match="mask set is empty"):
+        sparsity_report({})
 
 
 # ---------------------------------------------------------------------------

@@ -218,6 +218,9 @@ REJECTIONS = [
     ("downstream-10ep", {"batch_size": 0}, "recipe.batch_size: "),
     ("downstream-10ep", {"weight_decay": False}, "recipe.weight_decay: "),
     ("downstream-10ep", {"weight_decay": -0.01}, "recipe.weight_decay: "),
+    ("downstream-10ep", {"weight_decay": float("nan")}, "recipe.weight_decay: "),
+    ("downstream-10ep", {"weight_decay": float("inf")}, "recipe.weight_decay: "),
+    ("downstream-10ep", {"weight_decay": 10 ** 400}, "recipe.weight_decay: "),
     ("downstream-10ep", {"seeds": 1}, "recipe.seeds: "),
     ("downstream-10ep", {"seeds": []}, "recipe.seeds: "),
     ("downstream-10ep", {"seeds": [1, True]}, "recipe.seeds"),
@@ -238,6 +241,7 @@ REJECTIONS = [
     ("downstream-10ep", {"lr.cycle_length_epochs": 3}, "recipe.lr.cycle_length_epochs: "),
     ("upstream-finetune-8ep", {"lr.final": 1e-6}, "recipe.lr: "),
     ("upstream-finetune-8ep", {"lr.initial": 0}, "recipe.lr.initial: "),
+    ("upstream-finetune-8ep", {"lr.initial": float("inf")}, "recipe.lr.initial: "),
     ("upstream-finetune-8ep", {"lr": CYCLIC_LR}, "recipe.lr.kind: "),
     ("downstream-10ep", {"sparsity": 1}, "recipe.sparsity: "),
     ("downstream-10ep", {"sparsity.policy": DELETE}, "recipe.sparsity: "),
