@@ -14,6 +14,9 @@ each tensor lies follows from the shapes. It is written last, as canonical
 JSON (sorted keys, fixed indent), so save -> load -> save reproduces the
 same bytes. This module knows nothing about model architecture; shape-vs-config
 validation lives with the model code.
+
+The schema walk ``_value``, which reads recipes and checkpoint configs
+from JSON into dataclasses, lives here, below both of its callers.
 """
 
 from __future__ import annotations
@@ -21,7 +24,10 @@ from __future__ import annotations
 import json
 import math
 import os
-from dataclasses import dataclass, field
+import sys
+from dataclasses import dataclass, field, fields, is_dataclass
+from types import UnionType
+from typing import get_args, get_type_hints
 
 import numpy as np
 
@@ -39,7 +45,9 @@ class Checkpoint:
         for name, arr in self.params.items():
             if arr.dtype != np.float64:
                 raise ValueError(f"parameter {name} must be float64, got {arr.dtype}")
-        if self.masks is not None:
+        if not self.masks:  # None is the one spelling of "no masks"
+            self.masks = None
+        else:
             for name, mask in self.masks.items():
                 if name not in self.params:
                     raise ValueError(f"mask {name!r} does not match any parameter")
@@ -60,6 +68,66 @@ def canonical_json(obj) -> str:
 def _dump_json(obj: dict, path: str) -> None:
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(canonical_json(obj))
+
+
+# how a type error names each scalar annotation of a schema
+_EXPECTED = {bool: "a boolean", int: "an integer", float: "a finite number",
+             str: "a non-empty string", tuple[int, ...]: "a non-empty list of integers"}
+
+
+def _is_int(val) -> bool:
+    return isinstance(val, int) and not isinstance(val, bool)
+
+
+def _value(hint, val, path: str, nullable: bool = True):
+    """``val`` checked against one field annotation and converted: a finite
+    number becomes a float, an integer list a tuple and an object the
+    annotated dataclass. Null passes an ``X | None`` annotation only where
+    ``nullable``. A mismatch raises ValueError naming ``path``."""
+    or_null = ""
+    if isinstance(hint, UnionType):
+        hint, _ = get_args(hint)  # every union in the schema is X | None
+        if nullable:
+            if val is None:
+                return None
+            or_null = " or null"
+    if is_dataclass(hint) and isinstance(val, dict):
+        return _build(hint, val, path)
+    if (hint is float and (_is_int(val) or isinstance(val, float))
+            and abs(val) <= sys.float_info.max):  # not NaN, ±inf or beyond a float
+        return float(val)
+    if hint == tuple[int, ...] and isinstance(val, list) and val and all(map(_is_int, val)):
+        return tuple(val)
+    if (hint is int and _is_int(val) or hint is bool and isinstance(val, bool)
+            or hint is str and isinstance(val, str) and val != ""):
+        return val
+    what = "an object" if is_dataclass(hint) else _EXPECTED[hint]
+    raise ValueError(f"{path}: expected {what}{or_null}, got {val!r}")
+
+
+def _build(cls, obj: dict, path: str):
+    """Instance of dataclass ``cls`` from a decoded JSON object.
+
+    The keys are exactly ``cls``'s fields: an unknown key fails first, then
+    a missing one. A field whose default is None may be absent (and is None
+    then), but when present it holds a value; every other field is
+    required. ``cls``'s own ``ValueError`` comes back under ``path``.
+    """
+    specs = fields(cls)
+    unknown = set(obj) - {f.name for f in specs}
+    if unknown:
+        raise ValueError(f"{path}: unknown key {sorted(unknown)[0]!r}")
+    missing = {f.name for f in specs if f.default is not None} - set(obj)
+    if missing:
+        raise ValueError(f"{path}: missing key {sorted(missing)[0]!r}")
+    hints = get_type_hints(cls)
+    values = {f.name: _value(hints[f.name], obj[f.name], f"{path}.{f.name}",
+                             nullable=f.default is not None)
+              for f in specs if f.name in obj}
+    try:
+        return cls(**values)
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None
 
 
 def save_checkpoint(ckpt: Checkpoint, directory: str) -> None:

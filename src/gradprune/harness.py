@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import os
 import sys
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from itertools import chain
 
 import numpy as np
@@ -174,8 +174,7 @@ def train_teacher(data: TaskData, config: TinyEncoderConfig | None = None, *,
 
 
 def _init_student(recipe: Recipe, data: TaskData, seed: int,
-                  teacher: Checkpoint | None, init: Checkpoint | None,
-                  model_config: TinyEncoderConfig | None):
+                  teacher: Checkpoint | None, init: Checkpoint | None):
     """The student, its prunable tensors, and their starting masks (the init
     checkpoint's, else all ones), already applied."""
     if recipe.stage == "upstream-finetune" and init is None:
@@ -193,9 +192,8 @@ def _init_student(recipe: Recipe, data: TaskData, seed: int,
     elif teacher is not None:
         student = encoder_from_checkpoint(teacher, requires_grad=True)
     else:
-        if model_config is None:
-            model_config = TinyEncoderConfig(num_classes=data.task.num_classes)
-        student = TinyEncoder.build(replace(model_config, seed=seed))
+        student = TinyEncoder.build(
+            TinyEncoderConfig(num_classes=data.task.num_classes, seed=seed))
     _check_classes(student.config, data)
 
     prunable = {
@@ -264,7 +262,6 @@ def run(
     seed: int,
     teacher: Checkpoint | None = None,
     init: Checkpoint | None = None,
-    model_config: TinyEncoderConfig | None = None,
     out_dir: str | None = None,
 ) -> RunResult:
     """Execute one training run of a recipe on a task.
@@ -273,15 +270,15 @@ def run(
     (which also supplies fixed masks, as in the upstream-finetune stage, and
     must come from the recipe's ``mask_source`` when it names one), else the
     teacher's weights (the desk-scale stand-in for starting from a
-    pretrained model), else fresh random parameters seeded by ``seed``.
+    pretrained model), else fresh random parameters of the default
+    architecture, seeded by ``seed``.
     """
     if out_dir is not None:
         _place_sentinel(out_dir)
     n_train = data.train.tokens.shape[0]
     spe = steps_per_epoch(n_train, recipe.batch_size)
     timeline = compile_timeline(recipe, spe)
-    student, prunable, masks = _init_student(recipe, data, seed, teacher, init,
-                                             model_config)
+    student, prunable, masks = _init_student(recipe, data, seed, teacher, init)
     if recipe.kd.hardness > 0.0 and teacher is None:
         raise ValueError("recipe has kd.hardness > 0 but no teacher was given")
     # The teacher runs once, over the whole training split; each step takes
@@ -384,8 +381,7 @@ def sweep(
     result = SweepResult(field=field, rows=rows, runs=runs, errors=errors)
     if out_dir is not None:
         write_csv(rows, TABLE_COLUMNS, os.path.join(out_dir, "table.csv"))
-        if errors:
-            _dump_json(errors, os.path.join(out_dir, "errors.json"))
+        _dump_json(errors, os.path.join(out_dir, "errors.json"))
         os.remove(sentinel)
     return result
 

@@ -20,15 +20,12 @@ from __future__ import annotations
 
 import hashlib
 import json
-import sys
-from dataclasses import asdict, dataclass, fields, is_dataclass
+from dataclasses import asdict, dataclass
 from importlib import resources
-from types import UnionType
-from typing import get_args, get_type_hints
 
 import numpy as np
 
-from .checkpoint import canonical_json
+from .checkpoint import _value, canonical_json
 from .distillation import KDConfig
 from .pruning import POLICIES
 from .schedules import cyclic_lr, event_targets, linear_decay, prune_event_steps
@@ -81,66 +78,6 @@ class Recipe:
 
 def _fail(path: str, message: str):
     raise RecipeError(f"{path}: {message}")
-
-
-# how a type error names each scalar annotation of the schema
-_EXPECTED = {bool: "a boolean", int: "an integer", float: "a finite number",
-             str: "a non-empty string", tuple[int, ...]: "a non-empty list of integers"}
-
-
-def _is_int(val) -> bool:
-    return isinstance(val, int) and not isinstance(val, bool)
-
-
-def _value(hint, val, path: str, nullable: bool = True):
-    """``val`` checked against one field annotation and converted: a finite
-    number becomes a float, an integer list a tuple and an object the
-    annotated dataclass. Null passes an ``X | None`` annotation only where
-    ``nullable``."""
-    or_null = ""
-    if isinstance(hint, UnionType):
-        hint, _ = get_args(hint)  # every union in the schema is X | None
-        if nullable:
-            if val is None:
-                return None
-            or_null = " or null"
-    if is_dataclass(hint) and isinstance(val, dict):
-        return _build(hint, val, path)
-    if (hint is float and (_is_int(val) or isinstance(val, float))
-            and abs(val) <= sys.float_info.max):  # not NaN, ±inf or beyond a float
-        return float(val)
-    if hint == tuple[int, ...] and isinstance(val, list) and val and all(map(_is_int, val)):
-        return tuple(val)
-    if (hint is int and _is_int(val) or hint is bool and isinstance(val, bool)
-            or hint is str and isinstance(val, str) and val != ""):
-        return val
-    what = "an object" if is_dataclass(hint) else _EXPECTED[hint]
-    _fail(path, f"expected {what}{or_null}, got {val!r}")
-
-
-def _build(cls, obj: dict, path: str):
-    """Instance of dataclass ``cls`` from a decoded JSON object.
-
-    The keys are exactly ``cls``'s fields: an unknown key fails first, then
-    a missing one. A field whose default is None may be absent (and is None
-    then), but when present it holds a value; every other field is
-    required. ``cls``'s own ``ValueError`` comes back under ``path``.
-    """
-    specs = fields(cls)
-    unknown = set(obj) - {f.name for f in specs}
-    if unknown:
-        _fail(path, f"unknown key {sorted(unknown)[0]!r}")
-    missing = {f.name for f in specs if f.default is not None} - set(obj)
-    if missing:
-        _fail(path, f"missing key {sorted(missing)[0]!r}")
-    hints = get_type_hints(cls)
-    values = {f.name: _value(hints[f.name], obj[f.name], f"{path}.{f.name}",
-                             nullable=f.default is not None)
-              for f in specs if f.name in obj}
-    try:
-        return cls(**values)
-    except ValueError as exc:
-        raise RecipeError(f"{path}: {exc}") from None
 
 
 def _at_least(path: str, value: int, minimum: int) -> None:
@@ -227,7 +164,10 @@ def parse_recipe(source) -> Recipe:
             source = json.loads(source)
         except json.JSONDecodeError as exc:
             raise RecipeError(f"recipe: invalid JSON ({exc})") from None
-    recipe = _value(Recipe, source, "recipe")
+    try:
+        recipe = _value(Recipe, source, "recipe")
+    except ValueError as exc:
+        raise RecipeError(str(exc)) from None
     _check_rules(recipe)
     return recipe
 
@@ -275,7 +215,6 @@ def load_bundled(name: str) -> Recipe:
 @dataclass(frozen=True)
 class Timeline:
     """A recipe made concrete for a particular steps-per-epoch."""
-    steps_per_epoch: int
     total_steps: int
     lr: np.ndarray
     prune_events: tuple[tuple[int, float], ...]
@@ -337,7 +276,6 @@ def compile_timeline(recipe: Recipe, steps_per_epoch: int) -> Timeline:
     epoch_ends = {e * steps_per_epoch - 1 for e in range(1, recipe.total_epochs + 1)}
     eval_steps = tuple(sorted(epoch_ends | {s for s, _ in events}))
     return Timeline(
-        steps_per_epoch=steps_per_epoch,
         total_steps=total_steps,
         lr=lr,
         prune_events=events,

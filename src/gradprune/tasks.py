@@ -6,13 +6,14 @@ count. The label is a deterministic function of the sequence, so a perfect
 model exists (Bayes accuracy 1.0), and class balance is exact by
 construction.
 
-Half of the samples (``easy_fraction``) draw the second marker's value as
-zero, which makes the first marker alone moderately predictive. Without that
-first-order signal the pure mod-sum task has an XOR-like loss plateau and a
-tiny model needs many epochs to escape it; with the signal, a dense model
-saturates in a few epochs, while full accuracy still requires composing both
-markers. That composition is exactly what heavy pruning damages first, which
-keeps accuracy differences between pruning regimes measurable.
+Half of the samples (``EASY_FRACTION``, a constant of every task) draw the
+second marker's value as zero, which makes the first marker alone moderately
+predictive. Without that first-order signal the pure mod-sum task has an
+XOR-like loss plateau and a tiny model needs many epochs to escape it; with
+the signal, a dense model saturates in a few epochs, while full accuracy
+still requires composing both markers. That composition is exactly what
+heavy pruning damages first, which keeps accuracy differences between
+pruning regimes measurable.
 
 ``label_noise`` corrupts a fraction of *training* labels (validation labels
 stay clean): within each class, that fraction of rows is relabeled to the
@@ -39,6 +40,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
+# Share of samples whose second marker is zero (see the module docstring).
+EASY_FRACTION = 0.5
+
 
 @dataclass(frozen=True)
 class SyntheticTask:
@@ -47,7 +51,6 @@ class SyntheticTask:
     vocab_size: int = 64
     train_size: int = 2048
     val_size: int = 512
-    easy_fraction: float = 0.5
     label_noise: float = 0.0
     seed: int = 7
 
@@ -64,8 +67,6 @@ class SyntheticTask:
             )
         if self.train_size < self.num_classes or self.val_size < self.num_classes:
             raise ValueError("train_size and val_size must each cover every class")
-        if not 0.0 <= self.easy_fraction < 1.0:
-            raise ValueError(f"easy_fraction must be in [0, 1), got {self.easy_fraction}")
         if not 0.0 <= self.label_noise < 1.0:
             raise ValueError(f"label_noise must be in [0, 1), got {self.label_noise}")
 
@@ -90,7 +91,7 @@ def _generate_split(task: SyntheticTask, rng: np.random.Generator, n: int) -> Sp
     # Round-robin labels give exact balance, then a shuffle mixes the order.
     labels = np.arange(n, dtype=np.int64) % c
     tokens = rng.integers(filler_lo, task.vocab_size, size=(n, length), dtype=np.int64)
-    easy = rng.random(n) < task.easy_fraction
+    easy = rng.random(n) < EASY_FRACTION
     b = np.where(easy, 0, rng.integers(0, c, size=n))
     a = (labels - b) % c
     pos_a = rng.integers(0, length, size=n)

@@ -99,10 +99,10 @@ class Tensor:
     def transpose(self, axes: Sequence[int]) -> "Tensor":
         return transpose(self, axes)
 
-    def sum(self, axis: int | None = None) -> "Tensor":
-        return reduce_sum(self, axis)
+    def sum(self) -> "Tensor":
+        return reduce_sum(self)
 
-    def mean(self, axis: int | None = None) -> "Tensor":
+    def mean(self, axis: int) -> "Tensor":
         return reduce_mean(self, axis)
 
 
@@ -296,8 +296,8 @@ def gelu(x: Tensor) -> Tensor:
     return _output(x_data * cdf, (x,), grad_fn)
 
 
-def layer_norm(x: Tensor, eps: float = 1e-5) -> Tensor:
-    """Normalize over the last axis: (x - mean) / sqrt(var + eps).
+def layer_norm(x: Tensor) -> Tensor:
+    """Normalize over the last axis: (x - mean) / sqrt(var + 1e-5).
 
     Affine gain/bias are separate parameters applied by the caller, which
     keeps this primitive easy to check against finite differences.
@@ -308,7 +308,7 @@ def layer_norm(x: Tensor, eps: float = 1e-5) -> Tensor:
     mu = x.data.mean(axis=-1, keepdims=True)
     xc = x.data - mu
     var = np.mean(xc * xc, axis=-1, keepdims=True)
-    inv = 1.0 / np.sqrt(var + eps)
+    inv = 1.0 / np.sqrt(var + 1e-5)
     y = xc * inv
 
     def grad_fn(g):
@@ -390,30 +390,20 @@ def embedding(table: Tensor, ids: np.ndarray) -> Tensor:
     return _output(table.data[ids], (table,), grad_fn)
 
 
-def reduce_sum(x: Tensor, axis: int | None = None) -> Tensor:
+def reduce_sum(x: Tensor) -> Tensor:
     x = _as_tensor(x)
-    if axis is not None and not -x.data.ndim <= axis < x.data.ndim:
-        raise ValueError(f"sum: axis {axis} out of range for shape {x.data.shape}")
     x_shape = x.data.shape
-
-    def grad_fn(g):
-        if axis is None:
-            return (np.full(x_shape, float(g)),)
-        return (np.broadcast_to(np.expand_dims(g, axis), x_shape).copy(),)
-
-    return _output(x.data.sum(axis=axis), (x,), grad_fn)
+    return _output(x.data.sum(), (x,), lambda g: (np.full(x_shape, float(g)),))
 
 
-def reduce_mean(x: Tensor, axis: int | None = None) -> Tensor:
+def reduce_mean(x: Tensor, axis: int) -> Tensor:
     x = _as_tensor(x)
-    if axis is not None and not -x.data.ndim <= axis < x.data.ndim:
+    if not -x.data.ndim <= axis < x.data.ndim:
         raise ValueError(f"mean: axis {axis} out of range for shape {x.data.shape}")
     x_shape = x.data.shape
-    count = x.data.size if axis is None else x.data.shape[axis]
+    count = x.data.shape[axis]
 
     def grad_fn(g):
-        if axis is None:
-            return (np.full(x_shape, float(g) / count),)
         scaled = np.expand_dims(g, axis) / count
         return (np.broadcast_to(scaled, x_shape).copy(),)
 

@@ -101,6 +101,16 @@ def test_resave_without_masks_removes_stale_mask_files(tmp_path):
     assert load_checkpoint(path).masks is None
 
 
+def test_an_empty_mask_dict_means_no_masks(tmp_path):
+    ckpt = Checkpoint(config={}, params={"w": np.zeros(2)}, masks={})
+    assert ckpt.masks is None
+    path = str(tmp_path / "ck")
+    save_checkpoint(ckpt, path)
+    assert set(os.listdir(path)) == {"manifest.json", "data.bin"}
+    assert "masks" not in read_manifest(path)
+    assert load_checkpoint(path).masks is None
+
+
 def test_mask_bits_pack_exactly(tmp_path):
     # a 12-element mask occupies ceil(12/8) = 2 bytes, little-endian bit order
     ckpt = Checkpoint(

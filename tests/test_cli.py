@@ -188,3 +188,27 @@ def test_teacher_stats_on_a_malformed_checkpoint_is_an_error_record(
     record = json.loads(err)
     assert record["error"] == "ValueError"
     assert name in record["detail"] and "data.bin" in record["detail"]
+
+
+@pytest.mark.parametrize("edit, key", [
+    (lambda config: {**config, "bogus": 1}, "'bogus'"),
+    (lambda config: {**config, "hidden_dim": "16"}, "config.hidden_dim"),
+    (lambda config: {**config, "hidden_dim": 16.0}, "config.hidden_dim"),
+    (lambda config: {**config, "num_layers": True}, "config.num_layers"),
+    (lambda config: list(config.values()), "config"),
+], ids=["unknown-key", "string", "float", "bool", "list"])
+def test_teacher_stats_on_a_malformed_config_is_an_error_record(
+        teacher_dir, tmp_path, capsys, edit, key):
+    bad = str(tmp_path / "teacher")
+    shutil.copytree(teacher_dir, bad)
+    with open(os.path.join(bad, "manifest.json")) as fh:
+        manifest = json.load(fh)
+    manifest["config"] = edit(manifest["config"])
+    with open(os.path.join(bad, "manifest.json"), "w") as fh:
+        json.dump(manifest, fh)
+    assert main(["teacher-stats", "--teacher", bad, *TASK_ARGS]) == 1
+    err = capsys.readouterr().err
+    assert len(err.splitlines()) == 1
+    record = json.loads(err)
+    assert record["error"] == "ValueError"
+    assert key in record["detail"]

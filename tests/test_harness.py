@@ -2,6 +2,7 @@
 
 import json
 import os
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -20,7 +21,7 @@ from gradprune.harness import (
     train_teacher,
     write_csv,
 )
-from gradprune.models import TinyEncoderConfig
+from gradprune.models import TinyEncoder, TinyEncoderConfig, encoder_from_checkpoint
 from gradprune.recipes import compile_timeline, override_field, parse_recipe
 from gradprune.tasks import SyntheticTask, generate_task
 
@@ -75,11 +76,11 @@ def read_tree(root):
     return out
 
 
-def test_same_inputs_give_byte_identical_outputs(data, tmp_path):
+def test_same_inputs_give_byte_identical_outputs(data, teacher, tmp_path):
     recipe = make_recipe()
     a, b = str(tmp_path / "a"), str(tmp_path / "b")
-    run(recipe, data, seed=11, model_config=MODEL, out_dir=a)
-    run(recipe, data, seed=11, model_config=MODEL, out_dir=b)
+    run(recipe, data, seed=11, teacher=teacher, out_dir=a)
+    run(recipe, data, seed=11, teacher=teacher, out_dir=b)
     tree_a, tree_b = read_tree(a), read_tree(b)
     assert SENTINEL not in tree_a
     assert set(tree_a) == {
@@ -90,19 +91,19 @@ def test_same_inputs_give_byte_identical_outputs(data, tmp_path):
     assert tree_a == tree_b
 
 
-def test_different_seed_changes_outputs(data, tmp_path):
+def test_different_seed_changes_outputs(data, teacher, tmp_path):
     recipe = make_recipe()
     a, b = str(tmp_path / "a"), str(tmp_path / "b")
-    run(recipe, data, seed=11, model_config=MODEL, out_dir=a)
-    run(recipe, data, seed=12, model_config=MODEL, out_dir=b)
+    run(recipe, data, seed=11, teacher=teacher, out_dir=a)
+    run(recipe, data, seed=12, teacher=teacher, out_dir=b)
     assert read_tree(a)["metrics.csv"] != read_tree(b)["metrics.csv"]
 
 
-def test_metrics_rows_match_timeline(data, tmp_path):
+def test_metrics_rows_match_timeline(data, teacher, tmp_path):
     recipe = make_recipe()
     timeline = compile_timeline(recipe, steps_per_epoch=4)
     out = str(tmp_path / "run")
-    result = run(recipe, data, seed=0, model_config=MODEL, out_dir=out)
+    result = run(recipe, data, seed=0, teacher=teacher, out_dir=out)
 
     with open(os.path.join(out, "metrics.csv")) as fh:
         lines = fh.read().splitlines()
@@ -117,9 +118,9 @@ def test_metrics_rows_match_timeline(data, tmp_path):
     assert first[METRICS_COLUMNS.index("lr")] == f"{result.rows[0]['lr']:.17g}"
 
 
-def test_sparsity_progression(data):
+def test_sparsity_progression(data, teacher):
     recipe = make_recipe()
-    result = run(recipe, data, seed=0, model_config=MODEL)
+    result = run(recipe, data, seed=0, teacher=teacher)
     targets = [r["target_sparsity"] for r in result.rows]
     assert targets == sorted(targets)
     assert targets[0] == 0.0          # head-freeze epoch evaluates dense
@@ -134,10 +135,13 @@ def test_sparsity_progression(data):
 
 def test_dense_recipe_runs_without_masks(data):
     recipe = make_recipe(sparsity=None)
-    result = run(recipe, data, seed=0, model_config=MODEL)
+    result = run(recipe, data, seed=4)
     assert result.summary["num_prune_events"] == 0
     assert result.summary["achieved_sparsity"] == 0.0
     assert result.checkpoint.masks is None
+    # with neither teacher nor init, the student is the default encoder for
+    # the task's classes, seeded by the run
+    assert result.checkpoint.config == TinyEncoderConfig(num_classes=3, seed=4).to_dict()
 
 
 def test_hard_kd_uses_teacher(data, teacher):
@@ -171,36 +175,64 @@ def test_hard_kd_without_teacher_is_an_error(data):
     recipe = make_recipe(kd={"hardness": 1.0, "temperature": 5.5,
                              "scale_kl_by_t_squared": True})
     with pytest.raises(ValueError, match="teacher"):
-        run(recipe, data, seed=0, model_config=MODEL)
+        run(recipe, data, seed=0)
 
 
 def test_class_count_mismatch_is_an_error(data):
-    bad = TinyEncoderConfig(
+    bad = TinyEncoder.build(TinyEncoderConfig(
         vocab_size=16, max_sequence_length=8, hidden_dim=16, num_layers=1,
         num_heads=2, ffn_dim=32, num_classes=4,
-    )
+    ))
     with pytest.raises(ValueError, match="num_classes"):
-        run(make_recipe(), data, seed=0, model_config=bad)
+        run(make_recipe(), data, seed=0, teacher=bad.to_checkpoint())
 
 
 def test_oversized_batch_is_an_error(data):
     with pytest.raises(ValueError, match="batch_size"):
-        run(make_recipe(batch_size=128), data, seed=0, model_config=MODEL)
+        run(make_recipe(batch_size=128), data, seed=0)
 
 
-def test_divergence_raises_and_leaves_sentinel(data, tmp_path):
+def test_divergence_raises_and_leaves_sentinel(data, teacher, tmp_path):
     recipe = make_recipe(lr={"kind": "linear", "initial": 1e200}, sparsity=None)
     out = str(tmp_path / "run")
     with np.errstate(over="ignore", invalid="ignore"):
         with pytest.raises(TrainingDiverged) as info:
-            run(recipe, data, seed=0, model_config=MODEL, out_dir=out)
+            run(recipe, data, seed=0, teacher=teacher, out_dir=out)
     assert info.value.step >= 0
     assert os.path.exists(os.path.join(out, SENTINEL))
     assert not os.path.exists(os.path.join(out, "metrics.csv"))
 
 
-def test_finetune_keeps_masks_fixed(data, tmp_path):
-    pruned = run(make_recipe(), data, seed=0, model_config=MODEL)
+def test_non_finite_loss_from_finite_logits_diverges(data, teacher):
+    # logits near +-max float stay finite, but the cross-entropy of a row
+    # labelled 1 overflows, so the loss check (not the logits check) fires
+    params = dict(teacher.params)
+    params["head.classifier.bias"] = np.array([1.7e308, -1.7e308, 0.0])
+    extreme = Checkpoint(config=teacher.config, params=params)
+    logits = encoder_from_checkpoint(extreme, requires_grad=False).forward(
+        data.train.tokens).data
+    assert np.all(np.isfinite(logits))
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(TrainingDiverged) as info:
+            run(make_recipe(sparsity=None), data, seed=0, teacher=extreme)
+    assert info.value.step == 0
+
+
+def test_regressing_prune_target_raises(data, teacher, monkeypatch):
+    real = harness.compile_timeline
+
+    def regressing(recipe, steps_per_epoch):
+        timeline = real(recipe, steps_per_epoch)
+        (s0, t0), (s1, _), *rest = timeline.prune_events
+        return replace(timeline, prune_events=((s0, t0), (s1, t0 / 2), *rest))
+
+    monkeypatch.setattr(harness, "compile_timeline", regressing)
+    with pytest.raises(RuntimeError, match="prune target regressed"):
+        run(make_recipe(), data, seed=0, teacher=teacher)
+
+
+def test_finetune_keeps_masks_fixed(data, teacher, tmp_path):
+    pruned = run(make_recipe(), data, seed=0, teacher=teacher)
     assert pruned.checkpoint.masks is not None
 
     finetune = make_recipe(
@@ -225,7 +257,7 @@ def test_finetune_init_must_come_from_the_mask_source(data, teacher, init_recipe
     if init_recipe is None:
         init = teacher
     else:
-        init = run(make_recipe(), data, seed=0, model_config=MODEL).checkpoint
+        init = run(make_recipe(), data, seed=0, teacher=teacher).checkpoint
     finetune = make_recipe(
         name="tiny-finetune",
         stage="upstream-finetune",
@@ -264,7 +296,7 @@ def test_finetune_without_init_is_an_error(data):
         mask_source="tiny-test",
     )
     with pytest.raises(ValueError, match="init"):
-        run(finetune, data, seed=0, model_config=MODEL)
+        run(finetune, data, seed=0)
 
 
 def test_sweep_aggregates_and_isolates_failures(data, tmp_path):
@@ -294,6 +326,21 @@ def test_sweep_aggregates_and_isolates_failures(data, tmp_path):
     # failed children leave their sentinels behind
     child = os.path.join(out, "value=1e+200", "seed=0")
     assert os.path.exists(os.path.join(child, SENTINEL))
+
+
+def test_a_clean_sweep_leaves_no_stale_errors(data, teacher, tmp_path):
+    recipe = make_recipe(lr={"kind": "linear", "initial": 1e-3}, sparsity=None,
+                         total_epochs=2)
+    out = str(tmp_path / "sweep")
+    with np.errstate(over="ignore", invalid="ignore"):
+        failed = sweep(recipe, "lr.initial", [1e200], [0], data,
+                       teacher=teacher, out_dir=out)
+    assert set(failed.errors) == {"1e+200/0"}
+    clean = sweep(recipe, "lr.initial", [1e-3], [0], data,
+                  teacher=teacher, out_dir=out)
+    assert clean.errors == {}
+    with open(os.path.join(out, "errors.json")) as fh:
+        assert json.load(fh) == {}
 
 
 def test_sweep_runs_every_value_on_an_iterator_of_seeds(data):

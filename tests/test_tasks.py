@@ -52,7 +52,7 @@ def test_labels_are_a_function_of_the_markers():
 
 
 def test_easy_fraction_zeroes_second_marker():
-    task = SyntheticTask(train_size=4096, easy_fraction=0.5)
+    task = SyntheticTask(train_size=4096)
     data = generate_task(task)
     c = task.num_classes
     second = (data.train.tokens >= 2 + c) & (data.train.tokens < 2 + 2 * c)
@@ -86,8 +86,6 @@ def test_degenerate_specs_rejected():
         SyntheticTask(sequence_length=1)
     with pytest.raises(ValueError):
         SyntheticTask(label_noise=1.0)
-    with pytest.raises(ValueError):
-        SyntheticTask(easy_fraction=-0.1)
     with pytest.raises(ValueError):
         SyntheticTask(train_size=2, num_classes=4)
 
