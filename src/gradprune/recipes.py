@@ -271,6 +271,8 @@ def compile_timeline(recipe: Recipe, steps_per_epoch: int) -> Timeline:
         targets = event_targets(sp.initial_step, sp.final, num_events)
         if np.any(np.diff(steps) <= 0):
             raise AssertionError("prune events must be distinct and increasing")
+        if np.any(np.diff(targets) < 0):
+            raise AssertionError("prune targets must never decrease")
         events = tuple((int(s), float(t)) for s, t in zip(steps, targets))
 
     epoch_ends = {e * steps_per_epoch - 1 for e in range(1, recipe.total_epochs + 1)}

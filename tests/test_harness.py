@@ -2,7 +2,6 @@
 
 import json
 import os
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -216,19 +215,6 @@ def test_non_finite_loss_from_finite_logits_diverges(data, teacher):
         with pytest.raises(TrainingDiverged) as info:
             run(make_recipe(sparsity=None), data, seed=0, teacher=extreme)
     assert info.value.step == 0
-
-
-def test_regressing_prune_target_raises(data, teacher, monkeypatch):
-    real = harness.compile_timeline
-
-    def regressing(recipe, steps_per_epoch):
-        timeline = real(recipe, steps_per_epoch)
-        (s0, t0), (s1, _), *rest = timeline.prune_events
-        return replace(timeline, prune_events=((s0, t0), (s1, t0 / 2), *rest))
-
-    monkeypatch.setattr(harness, "compile_timeline", regressing)
-    with pytest.raises(RuntimeError, match="prune target regressed"):
-        run(make_recipe(), data, seed=0, teacher=teacher)
 
 
 def test_finetune_keeps_masks_fixed(data, teacher, tmp_path):

@@ -1,11 +1,20 @@
 """Tiny encoder: construction, forward invariants, teacher training."""
 
 import math
+import multiprocessing
+import os
+import signal
+import subprocess
+import sys
+import textwrap
+import time
+from pathlib import Path
 
 import numpy as np
 import pytest
 from scipy.special import erf
 
+from gradprune import models
 from gradprune.checkpoint import load_checkpoint, save_checkpoint
 from gradprune.distillation import TeacherHandle
 from gradprune.harness import TrainingDiverged, _batches, train_teacher
@@ -290,3 +299,179 @@ def test_predict_is_bitwise_the_bare_numpy_forward(teacher_setup):
     model = encoder_from_checkpoint(ckpt, requires_grad=False)
     expected = reference_logits(ckpt.params, model.config, tokens)
     assert predict(model, tokens).tobytes() == expected.tobytes()
+
+
+# ---------------------------------------------------------------------------
+# predict's process pool: one share of the batches per CPU
+
+
+@pytest.fixture
+def cpus(monkeypatch):
+    """Force the CPU count predict reads, so a 1-CPU host also runs the pool.
+
+    The test starts with no pool (an earlier one is set aside and put back
+    afterwards), and the pool it makes is shut down when it ends."""
+    if not hasattr(os, "sched_getaffinity"):
+        pytest.skip("predict shares batches on Linux only")
+    monkeypatch.setattr(models, "_pool", None)
+
+    def force(n: int) -> None:
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(n)),
+                            raising=False)
+
+    yield force
+    if models._pool is not None:
+        models._pool[2].shutdown()
+
+
+@pytest.fixture(scope="module")
+def val_rows():
+    data = generate_task(SyntheticTask(train_size=64, val_size=1024))
+    model = TinyEncoder.build(TinyEncoderConfig(num_classes=data.task.num_classes,
+                                                seed=3))
+    return model, data.val
+
+
+def serial_logits(model, tokens):
+    """predict's loop before the pool: every 64-row batch in the caller."""
+    return np.concatenate([model.forward(tokens[i:i + 64]).data
+                           for i in range(0, tokens.shape[0], 64)])
+
+
+def pool_children() -> set[int]:
+    return {p.pid for p in multiprocessing.active_children()}
+
+
+@pytest.mark.parametrize("count", [2, 3])
+def test_pool_predict_is_bitwise_the_serial_loop(cpus, val_rows, count):
+    # count - 1 workers, and the caller takes the first share
+    model, split = val_rows
+    cpus(1)
+    serial_accuracy = evaluate(model, split.tokens, split.labels)
+    cpus(count)
+    for rows in (1, 63, 64, 65, 129, 1000, 1024):
+        tokens = split.tokens[:rows]
+        assert predict(model, tokens).tobytes() == serial_logits(model, tokens).tobytes()
+    assert models._pool[1] == count - 1
+    assert evaluate(model, split.tokens, split.labels) == serial_accuracy
+
+
+def test_predict_on_one_cpu_starts_no_worker(cpus, val_rows):
+    model, split = val_rows
+    cpus(1)
+    before = pool_children()
+    predict(model, split.tokens)
+    assert models._pool is None
+    assert pool_children() == before
+
+
+def test_worker_exception_is_raised_in_the_caller(cpus, val_rows):
+    model, split = val_rows
+    cpus(2)
+    tokens = split.tokens[:128].copy()
+    tokens[-1, 0] = model.config.vocab_size  # in the worker's share only
+    with pytest.raises(ValueError, match="ids out of range"):
+        predict(model, tokens)
+    tokens = split.tokens[:128]
+    assert predict(model, tokens).tobytes() == serial_logits(model, tokens).tobytes()
+
+
+def test_workers_ignore_sigint(cpus, val_rows):
+    # Ctrl-C reaches the whole process group; only the caller may raise
+    # KeyboardInterrupt, so an interrupted run prints one traceback
+    model, split = val_rows
+    cpus(2)
+    before = pool_children()
+    expected = predict(model, split.tokens)
+    (worker,) = [p for p in multiprocessing.active_children() if p.pid not in before]
+    os.kill(worker.pid, signal.SIGINT)
+    worker.join(timeout=0.5)
+    assert worker.is_alive()
+    assert predict(model, split.tokens).tobytes() == expected.tobytes()
+
+
+SRC = Path(__file__).resolve().parents[1] / "src"
+
+
+def run_python(code: str) -> list[str]:
+    """Run ``code`` in a fresh interpreter with 2 CPUs forced and return its
+    stdout split on whitespace; a hang fails the test after 120 s."""
+    if not hasattr(os, "sched_getaffinity"):
+        pytest.skip("predict shares batches on Linux only")
+    prelude = textwrap.dedent("""
+        import os
+        os.sched_getaffinity = lambda pid: {0, 1}
+        import multiprocessing
+        import numpy as np
+        from gradprune import models
+        model = models.TinyEncoder.build(models.TinyEncoderConfig())
+    """)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [str(SRC)] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]))
+    done = subprocess.run([sys.executable, "-c", prelude + textwrap.dedent(code)],
+                          capture_output=True, text=True, env=env, timeout=120)
+    assert done.returncode == 0, done.stderr
+    return done.stdout.split()
+
+
+def test_the_pool_runs_openblas_on_one_thread():
+    # two BLAS threads each in the caller and a worker made the shared
+    # evaluation slower than the serial loop
+    out = run_python("""
+        import ctypes
+        models.predict(model, np.zeros((128, 8), dtype=np.int64))
+        with open("/proc/self/maps", encoding="utf-8") as fh:
+            paths = {line.split(maxsplit=5)[-1].rstrip("\\n") for line in fh}
+        for path in sorted(p for p in paths if "openblas" in os.path.basename(p)):
+            lib = ctypes.CDLL(path)
+            for name in ("openblas_get_num_threads", "openblas_get_num_threads64_",
+                         "scipy_openblas_get_num_threads",
+                         "scipy_openblas_get_num_threads64_"):
+                getter = getattr(lib, name, None)
+                if getter is not None:
+                    getter.restype = ctypes.c_int
+                    print(getter())
+                    break
+    """)
+    if not out:
+        pytest.skip("numpy loaded no OpenBLAS")
+    assert out == ["1"] * len(out)
+
+
+def test_killed_worker_raises_and_the_next_call_starts_a_fresh_pool():
+    out = run_python("""
+        from concurrent.futures.process import BrokenProcessPool
+        tokens = np.zeros((128, 8), dtype=np.int64)
+        expected = models.predict(model, tokens)
+        (worker,) = multiprocessing.active_children()
+        os.kill(worker.pid, 9)
+        try:
+            models.predict(model, tokens)
+        except BrokenProcessPool:
+            print("raised")
+        print(models.predict(model, tokens).tobytes() == expected.tobytes())
+    """)
+    assert out == ["raised", "True"]
+
+
+def test_evaluating_process_leaves_no_child_alive():
+    out = run_python("""
+        from gradprune.tasks import SyntheticTask, generate_task
+        val = generate_task(SyntheticTask(train_size=64, val_size=1024)).val
+        models.evaluate(model, val.tokens, val.labels)
+        print(*[p.pid for p in multiprocessing.active_children()])
+    """)
+    pids = [int(pid) for pid in out]
+    assert len(pids) == 1
+
+    def alive(pid: int) -> bool:
+        try:
+            os.kill(pid, 0)
+        except ProcessLookupError:
+            return False
+        return True
+
+    deadline = time.monotonic() + 10
+    while any(map(alive, pids)) and time.monotonic() < deadline:
+        time.sleep(0.05)
+    assert not any(map(alive, pids))

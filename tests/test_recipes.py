@@ -2,6 +2,7 @@
 
 import hashlib
 import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -363,6 +364,16 @@ def test_timeline_lr_matches_cycle_structure():
 def test_timeline_rejects_incompatible_steps_per_epoch():
     with pytest.raises((RecipeError, ValueError)):
         compile_timeline(load_bundled("downstream-10ep"), steps_per_epoch=5)
+
+
+def test_timeline_rejects_regressing_prune_targets():
+    # parse_recipe keeps initial_step below final, so only a Recipe built
+    # around it ramps down; run() relies on targets that never decrease
+    recipe = load_bundled("downstream-10ep")
+    ramp_down = replace(recipe, sparsity=replace(recipe.sparsity, initial_step=0.9,
+                                                 final=0.5))
+    with pytest.raises(AssertionError, match="prune targets must never decrease"):
+        compile_timeline(ramp_down, steps_per_epoch=16)
 
 
 def test_eval_steps_cover_epoch_ends_and_events():
