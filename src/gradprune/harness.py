@@ -4,10 +4,19 @@ field sweeps, and schedule dumps.
 Every model trains through one step: forward on a tape, distillation loss,
 backward, masked Adam step, mask re-application. A dense teacher is the
 case with hardness 0, no masks and a constant learning rate. A run takes a
-recipe, a task, a seed, and (usually) a teacher checkpoint, and adds prune
-events from the compiled timeline and evaluation at epoch ends and prune
-events. Runs are deterministic: the same inputs produce byte-identical
-metrics and checkpoints.
+recipe, a task, a seed, and (usually) a teacher checkpoint, and follows
+the compiled timeline step by step: its prune events, and evaluation at
+epoch ends and prune events. Runs are deterministic: the same inputs
+produce byte-identical metrics and checkpoints.
+
+A run does not wait for its evaluations. Each goes to the evaluation pool
+(``models.Evaluations``, one worker per CPU) as a copy of the student's
+parameters while training goes on, and the accuracies are filled into the
+metrics rows in step order after the loop. Nothing in training reads them,
+and ``evaluate`` draws no randomness, so the bytes are those of evaluating
+in line, which is what one CPU does. A worker's error is raised when the
+run collects that evaluation, at the latest after the loop; a run that
+stops early cancels the evaluations no worker has started.
 
 Output directories get a ``.incomplete`` sentinel file on entry that is
 removed only when the run finishes, so an aborted run is recognizable by
@@ -26,6 +35,7 @@ import numpy as np
 from .checkpoint import Checkpoint, _dump_json, save_checkpoint
 from .distillation import KDConfig, TeacherHandle, kd_loss_terms
 from .models import (
+    Evaluations,
     TinyEncoder,
     TinyEncoderConfig,
     encoder_from_checkpoint,
@@ -224,7 +234,7 @@ def _prune_event(step: int, target: float, params: dict, masks: dict,
 
 
 def _summary(recipe: Recipe, seed: int, spe: int, timeline, rows: list[dict],
-             target: float, masks: dict) -> dict:
+             masks: dict) -> dict:
     accs = [r["val_accuracy"] for r in rows]
     return {
         "recipe": recipe.name,
@@ -236,7 +246,7 @@ def _summary(recipe: Recipe, seed: int, spe: int, timeline, rows: list[dict],
         "num_prune_events": len(timeline.prune_events),
         "final_val_accuracy": accs[-1],
         "best_val_accuracy": max(accs),
-        "final_target_sparsity": target,
+        "final_target_sparsity": float(timeline.target[-1]),
         "achieved_sparsity": mask_sparsity(masks),
         "kd_hardness": recipe.kd.hardness,
         "kd_temperature": recipe.kd.temperature,
@@ -285,32 +295,36 @@ def run(
     policy = recipe.sparsity.policy if recipe.sparsity is not None else "uniform"
     opt = Adam(student.params, weight_decay=recipe.weight_decay)
     rng = np.random.Generator(np.random.PCG64(seed))
-    events = dict(timeline.prune_events)
-    eval_at = set(timeline.eval_steps)
     rows: list[dict] = []
-    target = 0.0
-    for step, idx in _batches(rng, n_train, recipe.batch_size, recipe.total_epochs):
-        lr = float(timeline.lr[step])
-        loss, ce_term, kl_term = _train_step(student, opt, data.train, idx,
-                                             teacher_logits, recipe.kd, lr, step,
-                                             prunable, masks)
-        if step in events:
-            masks = _prune_event(step, events[step], prunable, masks, policy)
-            target = events[step]
-        if step in eval_at:
-            rows.append({
-                "step": step,
-                "epoch": (step + 1) / spe,
-                "lr": lr,
-                "target_sparsity": target,
-                "achieved_sparsity": mask_sparsity(masks),
-                "train_loss": loss,
-                "ce_term": ce_term,
-                "kl_term": kl_term,
-                "val_accuracy": evaluate(student, data.val.tokens, data.val.labels),
-            })
+    evaluations = Evaluations(data.val.tokens, data.val.labels)
+    try:
+        for step, idx in _batches(rng, n_train, recipe.batch_size, recipe.total_epochs):
+            lr = float(timeline.lr[step])
+            target = float(timeline.target[step])
+            loss, ce_term, kl_term = _train_step(student, opt, data.train, idx,
+                                                 teacher_logits, recipe.kd, lr, step,
+                                                 prunable, masks)
+            if timeline.prune[step]:
+                masks = _prune_event(step, target, prunable, masks, policy)
+            if timeline.evaluate[step]:
+                evaluations.submit(student)
+                rows.append({
+                    "step": step,
+                    "epoch": (step + 1) / spe,
+                    "lr": lr,
+                    "target_sparsity": target,
+                    "achieved_sparsity": mask_sparsity(masks),
+                    "train_loss": loss,
+                    "ce_term": ce_term,
+                    "kl_term": kl_term,
+                    "val_accuracy": None,
+                })
+        for row, accuracy in zip(rows, evaluations.accuracies()):
+            row["val_accuracy"] = accuracy
+    finally:
+        evaluations.cancel()
 
-    summary = _summary(recipe, seed, spe, timeline, rows, target, masks)
+    summary = _summary(recipe, seed, spe, timeline, rows, masks)
     has_any_mask = any(not m.all() for m in masks.values())
     ckpt = student.to_checkpoint(masks=masks if has_any_mask else None,
                                  metadata={"role": "student", **summary})
@@ -385,15 +399,5 @@ def sweep(
 def emit_schedule(recipe: Recipe, steps_per_epoch: int) -> list[dict]:
     """Per-step (step, lr, target_sparsity) rows for plotting or inspection."""
     timeline = compile_timeline(recipe, steps_per_epoch)
-    events = dict(timeline.prune_events)
-    rows = []
-    target = 0.0
-    for step in range(timeline.total_steps):
-        if step in events:
-            target = events[step]
-        rows.append({
-            "step": step,
-            "lr": float(timeline.lr[step]),
-            "target_sparsity": target,
-        })
-    return rows
+    return [{"step": step, "lr": float(lr), "target_sparsity": float(target)}
+            for step, (lr, target) in enumerate(zip(timeline.lr, timeline.target))]

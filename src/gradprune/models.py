@@ -15,12 +15,14 @@ head stay dense.
 
 from __future__ import annotations
 
+import collections
+import contextlib
 import ctypes
 import math
 import multiprocessing
 import os
 import signal
-from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures import Future, ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import asdict, dataclass
 
@@ -34,6 +36,7 @@ from .tensor import (
     layer_norm,
     matmul,
     softmax,
+    _unchecked,
 )
 
 
@@ -273,21 +276,33 @@ def _one_blas_thread() -> None:
                 break
 
 
-def _executor(workers: int) -> ProcessPoolExecutor:
-    """The pool of ``workers`` processes, made now if this process has none
-    of that size. Forking costs no import, and a worker reads only the
+def _executor() -> ProcessPoolExecutor:
+    """The pool of one worker per CPU, made now if this process has none of
+    that size. Forking costs no import, and a worker reads only the
     arguments of each call; it inherits the one BLAS thread set here. The
     pool shuts down when the interpreter exits."""
     global _pool
-    key = (os.getpid(), workers)
+    key = (os.getpid(), _cpu_count())
     if _pool is None or _pool[:2] != key:
         if _pool is not None and _pool[0] == key[0]:
             _pool[2].shutdown()
         _one_blas_thread()
         _pool = (*key, ProcessPoolExecutor(
-            workers, mp_context=multiprocessing.get_context("fork"),
+            key[1], mp_context=multiprocessing.get_context("fork"),
             initializer=_worker_init, initargs=(key[0],)))
     return _pool[2]
+
+
+@contextlib.contextmanager
+def _resetting_a_broken_pool():
+    """Let BrokenProcessPool through, and make the next use start a fresh
+    pool: a worker that died breaks the whole pool."""
+    global _pool
+    try:
+        yield
+    except BrokenProcessPool:
+        _pool = None
+        raise
 
 
 def _predict_batches(model: TinyEncoder, tokens: np.ndarray) -> np.ndarray:
@@ -301,9 +316,26 @@ def _predict_batches(model: TinyEncoder, tokens: np.ndarray) -> np.ndarray:
 
 def _predict_share(config: TinyEncoderConfig, params: dict[str, np.ndarray],
                    tokens: np.ndarray) -> np.ndarray:
-    """A pool worker's share of ``predict``, from its arguments alone."""
-    model = TinyEncoder(config, {n: Tensor(a) for n, a in params.items()})
+    """A pool worker's share of the rows, from its arguments alone. The
+    arrays are wrapped as the caller holds them, with no finiteness check
+    the caller's own loop would not make."""
+    model = TinyEncoder(config, {n: _unchecked(a) for n, a in params.items()})
     return _predict_batches(model, tokens)
+
+
+def _submit(config: TinyEncoderConfig, params: dict[str, np.ndarray],
+            tokens: np.ndarray) -> Future:
+    """``_predict_share`` of ``tokens`` in the pool. The arrays are pickled
+    later, on the pool's feeder thread: they must not change until the
+    future is done."""
+    with _resetting_a_broken_pool():
+        return _executor().submit(_predict_share, config, params, tokens)
+
+
+def _result(future: Future) -> np.ndarray:
+    """The logits of a ``_submit`` future, or its worker's exception."""
+    with _resetting_a_broken_pool():
+        return future.result()
 
 
 def predict(model: TinyEncoder, tokens: np.ndarray) -> np.ndarray:
@@ -315,40 +347,91 @@ def predict(model: TinyEncoder, tokens: np.ndarray) -> np.ndarray:
 
     The 64-row batches are split into contiguous shares, one for each CPU
     the process may run on (``os.sched_getaffinity``). The caller computes
-    the first share; each other share goes to a worker process, which runs
-    the same loop on the same batches, so the bytes do not depend on the
-    CPU count. One CPU, or a single batch, runs the serial loop and starts
-    no process: ``taskset -c 0`` gives the serial path. A worker's
-    exception is raised here; a worker that died raises BrokenProcessPool,
-    and the next call starts a fresh pool."""
-    global _pool
+    the first share; each other share goes to a worker of the pool, which
+    has one worker per CPU (so one sits idle here; ``Evaluations`` keeps it
+    busy) and runs the same loop on the same batches, so the bytes do not
+    depend on the CPU count. One CPU, or a single batch, runs the serial
+    loop and starts no process: ``taskset -c 0`` gives the serial path. A
+    worker's exception is raised here; a worker that died raises
+    BrokenProcessPool, and the next call starts a fresh pool."""
     tokens = np.asarray(tokens)
     n = tokens.shape[0]
     batches = -(-n // _PREDICT_BATCH)
-    cpus = _cpu_count()
-    shares = min(cpus, batches)
+    shares = min(_cpu_count(), batches)
     if shares < 2:
         return _predict_batches(model, tokens)
     cuts = [_PREDICT_BATCH * (batches * i // shares) for i in range(shares)] + [n]
     params = {name: p.data for name, p in model.params.items()}
-    try:
-        pool = _executor(cpus - 1)
-        futures = [pool.submit(_predict_share, model.config, params, tokens[lo:hi])
-                   for lo, hi in zip(cuts[1:], cuts[2:])]
-        head = _predict_batches(model, tokens[:cuts[1]])
-        return np.concatenate([head] + [f.result() for f in futures])
-    except BrokenProcessPool:
-        _pool = None
-        raise
+    futures = [_submit(model.config, params, tokens[lo:hi])
+               for lo, hi in zip(cuts[1:], cuts[2:])]
+    head = _predict_batches(model, tokens[:cuts[1]])
+    return np.concatenate([head] + [_result(f) for f in futures])
 
 
-def evaluate(model: TinyEncoder, tokens: np.ndarray, labels: np.ndarray) -> float:
-    """Plain accuracy: the share of rows whose argmax logit is the label."""
+def _checked_rows(tokens, labels) -> tuple[np.ndarray, np.ndarray]:
     tokens = np.asarray(tokens)
     labels = np.asarray(labels)
     if tokens.shape[0] != labels.shape[0]:
         raise ValueError(
             f"tokens and labels disagree: {tokens.shape[0]} vs {labels.shape[0]} rows"
         )
-    pred = predict(model, tokens).argmax(axis=-1)
-    return int((pred == labels).sum()) / tokens.shape[0]
+    return tokens, labels
+
+
+def _accuracy(logits: np.ndarray, labels: np.ndarray) -> float:
+    """The share of rows whose argmax logit is the label."""
+    return int((logits.argmax(axis=-1) == labels).sum()) / labels.shape[0]
+
+
+def evaluate(model: TinyEncoder, tokens: np.ndarray, labels: np.ndarray) -> float:
+    """Plain accuracy: the share of rows whose argmax logit is the label."""
+    tokens, labels = _checked_rows(tokens, labels)
+    return _accuracy(predict(model, tokens), labels)
+
+
+class Evaluations:
+    """``evaluate`` of snapshots of a model on one split, run while the
+    caller goes on, and collected in the order they were submitted.
+
+    On more than one CPU, ``submit`` copies the parameters (the caller goes
+    on changing them in place) and hands the whole split to one pool worker.
+    At most one evaluation per worker is pending: a further ``submit`` first
+    waits for the oldest. Each accuracy comes from the worker's logits
+    through the helper ``evaluate`` uses, so the values equal its values.
+    On one CPU, ``submit`` evaluates inline and starts no process.
+
+    A worker's exception is raised when its evaluation is collected: by
+    ``accuracies``, or by a ``submit`` that waits for it. ``cancel`` drops
+    the evaluations no worker has started; a caller that leaves early calls
+    it, and the pool stays usable."""
+
+    def __init__(self, tokens: np.ndarray, labels: np.ndarray):
+        self.tokens, self.labels = _checked_rows(tokens, labels)
+        self._workers = _cpu_count()
+        self._done: list[float] = []
+        self._pending: collections.deque[Future] = collections.deque()
+
+    def submit(self, model: TinyEncoder) -> None:
+        if self._workers < 2:
+            self._done.append(evaluate(model, self.tokens, self.labels))
+            return
+        if len(self._pending) >= self._workers:
+            self._collect_oldest()
+        snapshot = {name: p.data.copy() for name, p in model.params.items()}
+        self._pending.append(_submit(model.config, snapshot, self.tokens))
+
+    def _collect_oldest(self) -> None:
+        logits = _result(self._pending[0])
+        self._pending.popleft()
+        self._done.append(_accuracy(logits, self.labels))
+
+    def accuracies(self) -> list[float]:
+        """Every submitted evaluation's accuracy, in submission order."""
+        while self._pending:
+            self._collect_oldest()
+        return self._done
+
+    def cancel(self) -> None:
+        for future in self._pending:
+            future.cancel()
+        self._pending.clear()

@@ -214,9 +214,19 @@ def load_bundled(name: str) -> Recipe:
 
 @dataclass(frozen=True)
 class Timeline:
-    """A recipe made concrete for a particular steps-per-epoch."""
+    """A recipe made concrete for a particular steps-per-epoch.
+
+    ``lr``, ``target``, ``prune`` and ``evaluate`` hold one entry per step:
+    the learning rate, the target sparsity in force after the step, whether
+    a prune event ends the step (a ramp from 0.0 starts with an event that
+    leaves the target as it was), and whether an evaluation follows it.
+    ``prune_events`` and ``eval_steps`` list the same events and evaluations
+    by step."""
     total_steps: int
     lr: np.ndarray
+    target: np.ndarray
+    prune: np.ndarray
+    evaluate: np.ndarray
     prune_events: tuple[tuple[int, float], ...]
     eval_steps: tuple[int, ...]
     num_lr_cycles: int
@@ -226,10 +236,9 @@ def compile_timeline(recipe: Recipe, steps_per_epoch: int) -> Timeline:
     """Lay the recipe out on the global step axis.
 
     Needs steps_per_epoch because the recipe speaks in epochs; the result
-    has a learning rate for every step, each prune event's (step, target),
-    and the evaluation points (epoch ends plus every prune event). The
-    recipe is already valid; this checks only the rules that depend on
-    steps_per_epoch.
+    is the plan of every step (see ``Timeline``), with evaluations at epoch
+    ends and after every prune event. The recipe is already valid; this
+    checks only the rules that depend on steps_per_epoch.
     """
     if steps_per_epoch < 1:
         raise ValueError(f"steps_per_epoch must be >= 1, got {steps_per_epoch}")
@@ -275,13 +284,21 @@ def compile_timeline(recipe: Recipe, steps_per_epoch: int) -> Timeline:
             raise AssertionError("prune targets must never decrease")
         events = tuple((int(s), float(t)) for s, t in zip(steps, targets))
 
-    epoch_ends = {e * steps_per_epoch - 1 for e in range(1, recipe.total_epochs + 1)}
-    eval_steps = tuple(sorted(epoch_ends | {s for s, _ in events}))
+    target = np.zeros(total_steps)
+    prune = np.zeros(total_steps, dtype=bool)
+    for step, value in events:
+        target[step:] = value
+        prune[step] = True
+    evaluate = prune.copy()
+    evaluate[steps_per_epoch - 1::steps_per_epoch] = True
     return Timeline(
         total_steps=total_steps,
         lr=lr,
+        target=target,
+        prune=prune,
+        evaluate=evaluate,
         prune_events=events,
-        eval_steps=eval_steps,
+        eval_steps=tuple(int(s) for s in np.flatnonzero(evaluate)),
         num_lr_cycles=num_cycles,
     )
 

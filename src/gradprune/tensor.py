@@ -178,6 +178,17 @@ def _as_tensor(x) -> Tensor:
     return Tensor(np.asarray(x, dtype=np.float64))
 
 
+def _unchecked(data) -> Tensor:
+    """A Tensor around ``data`` without the finiteness check, off any tape."""
+    out = object.__new__(Tensor)
+    out.data = np.asarray(data, dtype=np.float64)
+    out.grad = None
+    out.requires_grad = False
+    out._tape = None
+    out._index = -1
+    return out
+
+
 def _output(data, inputs: tuple[Tensor, ...], grad_fn: Callable) -> Tensor:
     """The op's output, recorded on the active tape if an input needs a
     gradient. ``grad_fn(g)`` returns one gradient per input, in input order,
@@ -185,12 +196,7 @@ def _output(data, inputs: tuple[Tensor, ...], grad_fn: Callable) -> Tensor:
 
     Skips the finiteness check, so a diverging run is caught at the loss
     (with a step index) rather than deep inside the forward pass."""
-    out = object.__new__(Tensor)
-    out.data = np.asarray(data, dtype=np.float64)
-    out.grad = None
-    out.requires_grad = False
-    out._tape = None
-    out._index = -1
+    out = _unchecked(data)
     tape = _ACTIVE_TAPE
     if tape is None or not any(t.requires_grad for t in inputs):
         return out

@@ -2,11 +2,12 @@
 
 import json
 import os
+import time
 
 import numpy as np
 import pytest
 
-from gradprune import harness
+from gradprune import harness, models
 from gradprune.checkpoint import Checkpoint, load_checkpoint, save_checkpoint
 from gradprune.distillation import TeacherHandle
 from gradprune.harness import (
@@ -378,3 +379,104 @@ def test_emit_schedule_matches_timeline(tmp_path):
         lines = fh.read().splitlines()
     assert lines[0] == "step,lr,target_sparsity"
     assert len(lines) == 1 + timeline.total_steps
+
+
+# ---------------------------------------------------------------------------
+# evaluation in the background: pool workers evaluate while run() trains
+# (``cpus`` forces the CPU count; see conftest.py)
+
+REAL_SHARE = models._predict_share
+
+
+def slow_share(config, params, tokens):
+    """The pool's worker function after a pause, so that evaluations pile up
+    behind training. Module level, so a forked worker finds it by name."""
+    time.sleep(0.2)
+    return REAL_SHARE(config, params, tokens)
+
+
+def recording_submit(monkeypatch) -> tuple[list, list]:
+    """Record every future the pool is handed, and how many earlier ones were
+    still unfinished when it was handed."""
+    futures, unfinished = [], []
+    real = models._submit
+
+    def submit(*args):
+        unfinished.append(sum(not f.done() for f in futures))
+        futures.append(real(*args))
+        return futures[-1]
+
+    monkeypatch.setattr(models, "_submit", submit)
+    return futures, unfinished
+
+
+def test_background_evaluation_gives_the_bytes_of_one_cpu(data, teacher, cpus,
+                                                          tmp_path):
+    recipe = make_recipe(kd={"hardness": 0.5, "temperature": 5.5,
+                             "scale_kl_by_t_squared": True})
+    trees, rows = {}, {}
+    for count in (1, 2, 3):
+        cpus(count)
+        out = str(tmp_path / str(count))
+        rows[count] = run(recipe, data, seed=0, teacher=teacher, out_dir=out).rows
+        trees[count] = read_tree(out)
+        if count == 1:
+            assert models._pool is None   # one CPU starts no process
+    assert len(rows[1]) == len(compile_timeline(recipe, 4).eval_steps)
+    assert trees[1] == trees[2] == trees[3]
+    assert rows[1] == rows[2] == rows[3]
+
+
+def test_pending_evaluations_never_outnumber_the_workers(data, cpus, monkeypatch):
+    recipe = make_recipe()
+    cpus(1)
+    expected = run(recipe, data, seed=0).rows
+    cpus(2)
+    monkeypatch.setattr(models, "_predict_share", slow_share)
+    futures, unfinished = recording_submit(monkeypatch)
+    result = run(recipe, data, seed=0)
+    assert len(futures) == len(expected) == 8
+    # each hand-over leaves at most one earlier evaluation running beside
+    # it, and the slow workers make that bound bite
+    assert max(unfinished) == 1
+    assert result.rows == expected
+
+
+def test_a_diverged_sweep_leaves_the_pool_working(data, cpus, tmp_path):
+    recipe = make_recipe(lr={"kind": "linear", "initial": 1e-3})
+    trees = {}
+    for count in (1, 2):
+        cpus(count)
+        out = str(tmp_path / str(count))
+        with np.errstate(over="ignore", invalid="ignore"):
+            result = sweep(recipe, "lr.initial", [1e200, 1e-3], [0], data,
+                           out_dir=out)
+        assert set(result.errors) == {"1e+200/0"}
+        assert result.rows[1]["num_ok"] == 1
+        trees[count] = read_tree(out)
+    assert trees[1] == trees[2]
+
+
+def test_a_run_that_stops_early_leaves_the_pool_working(data, cpus, monkeypatch):
+    recipe = make_recipe()
+    cpus(1)
+    expected = run(recipe, data, seed=0).rows
+    cpus(2)
+    real_step = harness._train_step
+
+    def stop_at_twelve(*args):
+        if args[7] == 12:
+            raise TrainingDiverged(12)
+        return real_step(*args)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(models, "_predict_share", slow_share)
+        patch.setattr(harness, "_train_step", stop_at_twelve)
+        futures, _ = recording_submit(patch)
+        with pytest.raises(TrainingDiverged):
+            run(recipe, data, seed=0)
+    # seven evaluations were handed over before step 12; any not started
+    # were cancelled, and none failed
+    assert len(futures) == 7
+    assert all(f.cancelled() or f.result().shape == (64, 3) for f in futures)
+    assert run(recipe, data, seed=0).rows == expected

@@ -302,26 +302,8 @@ def test_predict_is_bitwise_the_bare_numpy_forward(teacher_setup):
 
 
 # ---------------------------------------------------------------------------
-# predict's process pool: one share of the batches per CPU
-
-
-@pytest.fixture
-def cpus(monkeypatch):
-    """Force the CPU count predict reads, so a 1-CPU host also runs the pool.
-
-    The test starts with no pool (an earlier one is set aside and put back
-    afterwards), and the pool it makes is shut down when it ends."""
-    if not hasattr(os, "sched_getaffinity"):
-        pytest.skip("predict shares batches on Linux only")
-    monkeypatch.setattr(models, "_pool", None)
-
-    def force(n: int) -> None:
-        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(n)),
-                            raising=False)
-
-    yield force
-    if models._pool is not None:
-        models._pool[2].shutdown()
+# predict's process pool: one share of the batches per CPU (``cpus`` forces
+# the count; see conftest.py)
 
 
 @pytest.fixture(scope="module")
@@ -344,7 +326,8 @@ def pool_children() -> set[int]:
 
 @pytest.mark.parametrize("count", [2, 3])
 def test_pool_predict_is_bitwise_the_serial_loop(cpus, val_rows, count):
-    # count - 1 workers, and the caller takes the first share
+    # one worker per CPU; the caller takes the first share, so count - 1
+    # workers share the rest
     model, split = val_rows
     cpus(1)
     serial_accuracy = evaluate(model, split.tokens, split.labels)
@@ -352,7 +335,7 @@ def test_pool_predict_is_bitwise_the_serial_loop(cpus, val_rows, count):
     for rows in (1, 63, 64, 65, 129, 1000, 1024):
         tokens = split.tokens[:rows]
         assert predict(model, tokens).tobytes() == serial_logits(model, tokens).tobytes()
-    assert models._pool[1] == count - 1
+    assert models._pool[1] == count
     assert evaluate(model, split.tokens, split.labels) == serial_accuracy
 
 
@@ -376,6 +359,23 @@ def test_worker_exception_is_raised_in_the_caller(cpus, val_rows):
     assert predict(model, tokens).tobytes() == serial_logits(model, tokens).tobytes()
 
 
+def test_non_finite_parameters_give_the_same_logits_on_every_cpu_count(cpus, val_rows):
+    # the caller's loop checks no parameter, and neither may a worker: one
+    # inf weight gives the same NaN logits on any CPU count, never an error
+    # on some counts only
+    model, split = val_rows
+    broken = encoder_from_checkpoint(model.to_checkpoint(), requires_grad=False)
+    broken.params["encoder.layer0.ffn.expand.weight"].data[0, 0] = np.inf
+    tokens = split.tokens[:256]
+    logits = {}
+    with np.errstate(invalid="ignore", over="ignore"):
+        for count in (1, 2, 3):
+            cpus(count)
+            logits[count] = predict(broken, tokens)
+    assert np.isnan(logits[1]).any()
+    assert logits[1].tobytes() == logits[2].tobytes() == logits[3].tobytes()
+
+
 def test_workers_ignore_sigint(cpus, val_rows):
     # Ctrl-C reaches the whole process group; only the caller may raise
     # KeyboardInterrupt, so an interrupted run prints one traceback
@@ -383,10 +383,13 @@ def test_workers_ignore_sigint(cpus, val_rows):
     cpus(2)
     before = pool_children()
     expected = predict(model, split.tokens)
-    (worker,) = [p for p in multiprocessing.active_children() if p.pid not in before]
-    os.kill(worker.pid, signal.SIGINT)
-    worker.join(timeout=0.5)
-    assert worker.is_alive()
+    workers = [p for p in multiprocessing.active_children() if p.pid not in before]
+    assert len(workers) == 2
+    for worker in workers:
+        os.kill(worker.pid, signal.SIGINT)
+    for worker in workers:
+        worker.join(timeout=0.5)
+        assert worker.is_alive()
     assert predict(model, split.tokens).tobytes() == expected.tobytes()
 
 
@@ -443,8 +446,10 @@ def test_killed_worker_raises_and_the_next_call_starts_a_fresh_pool():
         from concurrent.futures.process import BrokenProcessPool
         tokens = np.zeros((128, 8), dtype=np.int64)
         expected = models.predict(model, tokens)
-        (worker,) = multiprocessing.active_children()
+        worker, _ = multiprocessing.active_children()
         os.kill(worker.pid, 9)
+        worker.join(timeout=10)
+        assert not worker.is_alive()
         try:
             models.predict(model, tokens)
         except BrokenProcessPool:
@@ -454,16 +459,8 @@ def test_killed_worker_raises_and_the_next_call_starts_a_fresh_pool():
     assert out == ["raised", "True"]
 
 
-def test_evaluating_process_leaves_no_child_alive():
-    out = run_python("""
-        from gradprune.tasks import SyntheticTask, generate_task
-        val = generate_task(SyntheticTask(train_size=64, val_size=1024)).val
-        models.evaluate(model, val.tokens, val.labels)
-        print(*[p.pid for p in multiprocessing.active_children()])
-    """)
-    pids = [int(pid) for pid in out]
-    assert len(pids) == 1
-
+def assert_exited(pids: list[int]) -> None:
+    """Every pid ends within 10 s."""
     def alive(pid: int) -> bool:
         try:
             os.kill(pid, 0)
@@ -475,3 +472,34 @@ def test_evaluating_process_leaves_no_child_alive():
     while any(map(alive, pids)) and time.monotonic() < deadline:
         time.sleep(0.05)
     assert not any(map(alive, pids))
+
+
+def test_evaluating_process_leaves_no_child_alive():
+    out = run_python("""
+        from gradprune.tasks import SyntheticTask, generate_task
+        val = generate_task(SyntheticTask(train_size=64, val_size=1024)).val
+        models.evaluate(model, val.tokens, val.labels)
+        print(*[p.pid for p in multiprocessing.active_children()])
+    """)
+    pids = [int(pid) for pid in out]
+    assert len(pids) == 2
+    assert_exited(pids)
+
+
+def test_training_process_leaves_no_child_alive():
+    # run() hands its evaluations to the pool and exits with none pending
+    out = run_python("""
+        from gradprune.harness import run
+        from gradprune.recipes import override_field, load_bundled
+        from gradprune.tasks import SyntheticTask, generate_task
+        data = generate_task(SyntheticTask(train_size=64, val_size=128))
+        recipe = override_field(load_bundled("downstream-10ep"), "total_epochs", 6)
+        recipe = override_field(recipe, "kd.hardness", 0.0)
+        recipe = override_field(recipe, "sparsity.prune_frequency_per_epoch", 1)
+        result = run(recipe, data, seed=0)
+        assert len(result.rows) == 8
+        print(*[p.pid for p in multiprocessing.active_children()])
+    """)
+    pids = [int(pid) for pid in out]
+    assert len(pids) == 2
+    assert_exited(pids)

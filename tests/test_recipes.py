@@ -379,11 +379,18 @@ def test_timeline_rejects_regressing_prune_targets():
 def test_eval_steps_cover_epoch_ends_and_events():
     t = compile_timeline(load_bundled("downstream-10ep"), steps_per_epoch=16)
     evals = set(t.eval_steps)
-    for epoch_end in range(15, 160, 16):
-        assert epoch_end in evals
-    for step, _ in t.prune_events:
-        assert step in evals
+    assert evals == set(range(15, 160, 16)) | {step for step, _ in t.prune_events}
     assert list(t.eval_steps) == sorted(evals)
+    assert t.eval_steps == tuple(np.flatnonzero(t.evaluate))
+
+
+def test_a_ramp_from_zero_prunes_at_its_first_event():
+    # the first event leaves the target at 0.0, and is still an event
+    recipe = override_field(load_bundled("downstream-10ep"), "sparsity.initial_step", 0.0)
+    t = compile_timeline(recipe, steps_per_epoch=16)
+    first = t.prune_events[0][0]
+    assert t.prune[first] and t.target[first] == 0.0
+    assert t.target[t.prune_events[1][0]] > 0.0
 
 
 def closed_form_timeline(recipe, spe):
@@ -440,5 +447,11 @@ def test_timeline_is_bitwise_the_scalar_closed_form(name):
         t = compile_timeline(recipe, spe)
         assert t.lr.tobytes() == np.array(lr).tobytes()
         assert list(t.prune_events) == events
+        # the per-step arrays say the same as the event list
+        at, target = dict(events), [0.0]
+        for step in range(len(lr)):
+            target.append(at.get(step, target[-1]))
+        assert t.target.tobytes() == np.array(target[1:]).tobytes()
+        assert np.flatnonzero(t.prune).tolist() == [step for step, _ in events]
         compiled += 1
     assert compiled > 0
