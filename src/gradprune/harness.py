@@ -288,8 +288,9 @@ def run(
     if recipe.kd.hardness > 0.0 and teacher is None:
         raise ValueError("recipe has kd.hardness > 0 but no teacher was given")
     # The teacher runs once, over the whole training split; each step takes
-    # its batch's rows of the table, bitwise what a forward of the batch
-    # alone gives.
+    # its batch's rows of the table. For a batch of two or more rows that is
+    # bitwise what a forward of the batch alone gives; a 1-row batch's
+    # forward takes another BLAS path and may differ in the last bits.
     teacher_logits = (TeacherHandle(teacher).logits(data.train.tokens)
                       if recipe.kd.hardness > 0.0 else None)
     policy = recipe.sparsity.policy if recipe.sparsity is not None else "uniform"

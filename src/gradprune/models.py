@@ -27,6 +27,7 @@ from concurrent.futures.process import BrokenProcessPool
 from dataclasses import asdict, dataclass
 
 import numpy as np
+from scipy.special import erf
 
 from .checkpoint import Checkpoint, _value
 from .tensor import (
@@ -36,7 +37,7 @@ from .tensor import (
     layer_norm,
     matmul,
     softmax,
-    _unchecked,
+    _SQRT2,
 )
 
 
@@ -160,15 +161,8 @@ class TinyEncoder:
 
     def forward(self, tokens: np.ndarray) -> Tensor:
         """tokens [batch, seq] of ids -> logits [batch, num_classes]."""
-        tokens = np.asarray(tokens)
-        if tokens.ndim != 2:
-            raise ValueError(f"tokens must be [batch, seq], got shape {tokens.shape}")
+        tokens = _checked_tokens(self.config, tokens)
         batch, seq = tokens.shape
-        if seq > self.config.max_sequence_length:
-            raise ValueError(
-                f"sequence length {seq} exceeds maximum "
-                f"{self.config.max_sequence_length}"
-            )
         cfg = self.config
         head_dim = cfg.hidden_dim // cfg.num_heads
         scale = 1.0 / math.sqrt(head_dim)
@@ -225,8 +219,10 @@ def encoder_from_checkpoint(ckpt: Checkpoint, requires_grad: bool = True) -> Tin
     return TinyEncoder(config, params)
 
 
-# predict's batches of 64 rows keep a layer's activations within a core's L2
-# cache: ~28% faster than 256 on a 2-vCPU Xeon (1024 rows, default config).
+# predict's batch of 64 rows. On the lean forward, 1,024 rows of the desk
+# teacher took 0.125 s at 32 and at 64 rows and 0.129 s at 128 (medians of
+# 15, one process on a shared 2-vCPU host). The size also fixes the bytes:
+# a batch of one row takes another BLAS path (see ``predict``).
 _PREDICT_BATCH = 64
 
 # This process's evaluation pool as (pid, workers, executor), made on first
@@ -305,22 +301,168 @@ def _resetting_a_broken_pool():
         raise
 
 
-def _predict_batches(model: TinyEncoder, tokens: np.ndarray) -> np.ndarray:
-    """The serial loop: each 64-row batch's forward, in order."""
-    out = np.empty((tokens.shape[0], model.config.num_classes))
-    for start in range(0, tokens.shape[0], _PREDICT_BATCH):
-        rows = slice(start, start + _PREDICT_BATCH)
-        out[rows] = model.forward(tokens[rows]).data
-    return out
+def _checked_tokens(config: TinyEncoderConfig, tokens) -> np.ndarray:
+    """``tokens`` as an array, after the checks ``TinyEncoder.forward`` and
+    ``embedding`` make, with their messages: 2-D, no longer than
+    ``max_sequence_length``, integer ids in ``[0, vocab_size)``."""
+    tokens = np.asarray(tokens)
+    if tokens.ndim != 2:
+        raise ValueError(f"tokens must be [batch, seq], got shape {tokens.shape}")
+    if tokens.shape[1] > config.max_sequence_length:
+        raise ValueError(
+            f"sequence length {tokens.shape[1]} exceeds maximum "
+            f"{config.max_sequence_length}"
+        )
+    if not np.issubdtype(tokens.dtype, np.integer):
+        raise ValueError(f"embedding: ids must be integers, got dtype {tokens.dtype}")
+    if tokens.size and (tokens.min() < 0 or tokens.max() >= config.vocab_size):
+        raise ValueError(
+            f"embedding: ids out of range [0, {config.vocab_size}), "
+            f"got min {tokens.min()} max {tokens.max()}"
+        )
+    return tokens
+
+
+# The lean forward below is ``TinyEncoder.forward`` in plain numpy: the same
+# ufuncs and matmuls on the same operands, in the same order, most of them in
+# place on arrays it owns (IEEE + and x are commutative, so ``x += y`` gives
+# the bytes of ``x + y``). Activations stay 2-D, [rows * seq, features], as
+# ``_linear`` flattens them. What keeps the bytes: GELU divides by sqrt(2)
+# (multiplying by its reciprocal rounds differently); layer norm keeps
+# ``layer_norm``'s order (mean, subtract, mean of squares, + 1e-5, sqrt,
+# reciprocal, multiply) before gain and bias; scores are (q @ k^T) * scale on
+# the transposed views the tape forward passes to matmul.
+
+def _lean_linear(params: dict[str, np.ndarray], x: np.ndarray, name: str) -> np.ndarray:
+    y = x @ params[name + ".weight"]
+    y += params[name + ".bias"]
+    return y
+
+
+def _lean_norm(params: dict[str, np.ndarray], x: np.ndarray, name: str) -> np.ndarray:
+    """``layer_norm`` then gain and bias, in ``layer_norm``'s order."""
+    xc = x - x.mean(axis=-1, keepdims=True)
+    sq = xc * xc
+    inv = sq.mean(axis=-1, keepdims=True)
+    inv += 1e-5
+    np.sqrt(inv, out=inv)
+    np.divide(1.0, inv, out=inv)
+    xc *= inv
+    xc *= params[name + ".gain"]
+    xc += params[name + ".bias"]
+    return xc
+
+
+def _lean_qkv(params: dict[str, np.ndarray], x: np.ndarray, pre: str) -> list[np.ndarray]:
+    """norm1 and the query, key and value projections of a layer."""
+    h = _lean_norm(params, x, pre + "norm1")
+    return [_lean_linear(params, h, pre + f"attention.{proj}")
+            for proj in ("query", "key", "value")]
+
+
+def _layer0_table(config: TinyEncoderConfig, params: dict[str, np.ndarray],
+                  tokens: np.ndarray) -> tuple[list[np.ndarray], np.ndarray]:
+    """Layer 0 up to attention (the embedding sum, norm1, then q, k and v)
+    depends on a token's (position, token) pair only: q, k and v for each
+    distinct pair of ``tokens``, and each token's row in them.
+
+    The pairs are those present in the call, found with a presence mask
+    where the pair space is no larger than the call and with ``np.unique``
+    where it is, so a large vocabulary costs no more than the rows served.
+    Every row holds positions 0 and 1 when ``seq >= 2``, so the table has
+    at least two rows; the caller keeps length-1 sequences off it (see
+    ``_predict_share``)."""
+    vocab = config.vocab_size
+    seq = tokens.shape[1]
+    pairs = tokens.astype(np.intp) + np.arange(seq, dtype=np.intp) * vocab
+    space = seq * vocab
+    if space <= pairs.size:
+        present = np.zeros(space, dtype=bool)
+        present[pairs] = True
+        distinct = np.flatnonzero(present)
+        row_of = np.empty(space, dtype=np.intp)
+        row_of[distinct] = np.arange(distinct.size)
+        index = row_of[pairs]
+    else:
+        distinct, index = np.unique(pairs, return_inverse=True)
+        index = index.reshape(pairs.shape)
+    x = (params["embedding.token.weight"][distinct % vocab]
+         + params["embedding.position.weight"][distinct // vocab])
+    return _lean_qkv(params, x, "encoder.layer0."), index
+
+
+def _lean_forward(config: TinyEncoderConfig, params: dict[str, np.ndarray],
+                  tokens: np.ndarray, layer0: list[np.ndarray] | None) -> np.ndarray:
+    """Logits of one batch of checked tokens; ``layer0`` holds the batch's
+    rows of the layer-0 table (q, k and v, gathered [rows * seq, hidden]),
+    or is None."""
+    batch, seq = tokens.shape
+    heads = config.num_heads
+    head_dim = config.hidden_dim // heads
+    scale = 1.0 / math.sqrt(head_dim)
+    split = (batch, seq, heads, head_dim)
+    x = params["embedding.token.weight"][tokens]
+    x += params["embedding.position.weight"][:seq]
+    x = x.reshape((batch * seq, config.hidden_dim))
+    for i in range(config.num_layers):
+        pre = f"encoder.layer{i}."
+        if i == 0 and layer0 is not None:
+            q, k, v = layer0
+        else:
+            q, k, v = _lean_qkv(params, x, pre)
+        q, k, v = (a.reshape(split).transpose((0, 2, 1, 3)) for a in (q, k, v))
+        scores = q @ k.transpose((0, 1, 3, 2))
+        scores *= scale
+        scores -= scores.max(axis=-1, keepdims=True)
+        np.exp(scores, out=scores)
+        scores /= scores.sum(axis=-1, keepdims=True)
+        ctx = (scores @ v).transpose((0, 2, 1, 3)).reshape((batch * seq, config.hidden_dim))
+        x += _lean_linear(params, ctx, pre + "attention.output")
+
+        h = _lean_norm(params, x, pre + "norm2")
+        h = _lean_linear(params, h, pre + "ffn.expand")
+        cdf = h / _SQRT2
+        erf(cdf, out=cdf)
+        cdf += 1.0
+        cdf *= 0.5
+        h *= cdf
+        x += _lean_linear(params, h, pre + "ffn.reduce")
+
+    h = _lean_norm(params, x, "head.norm")
+    pooled = h.reshape((batch, seq, config.hidden_dim)).mean(axis=1)
+    return _lean_linear(params, pooled, "head.classifier")
 
 
 def _predict_share(config: TinyEncoderConfig, params: dict[str, np.ndarray],
                    tokens: np.ndarray) -> np.ndarray:
-    """A pool worker's share of the rows, from its arguments alone. The
-    arrays are wrapped as the caller holds them, with no finiteness check
-    the caller's own loop would not make."""
-    model = TinyEncoder(config, {n: _unchecked(a) for n, a in params.items()})
-    return _predict_batches(model, tokens)
+    """Logits of ``tokens``, 64-row batch by 64-row batch, from the arrays
+    alone: the lean forward, bitwise ``TinyEncoder.forward`` of each batch.
+    A pool worker runs it on its share, and the caller on its own.
+
+    It checks the tokens as ``forward`` does, with the same messages, and
+    makes no finiteness check, as ``forward`` makes none of its parameters.
+    It records nothing on any tape.
+
+    Bitwise rules. A matmul's row r depends on the other rows only through
+    their count, and only as 1 against 2 or more (BLAS takes another path
+    for one row). Everything from layer 0's attention on runs on the same
+    64-row batches as before. Layer 0 before attention is computed once per
+    distinct (position, token) pair of the share (``_layer0_table``) and
+    gathered; the table and a batch's layer-0 rows both hold 2 or more rows
+    when ``seq >= 2``. Length-1 sequences skip the table: there a batch of
+    one row must take the 1-row path, and a table of one distinct token
+    must not."""
+    tokens = _checked_tokens(config, tokens)
+    n, seq = tokens.shape
+    out = np.empty((n, config.num_classes))
+    table, index = (_layer0_table(config, params, tokens) if seq > 1
+                    else (None, None))
+    for start in range(0, n, _PREDICT_BATCH):
+        rows = slice(start, start + _PREDICT_BATCH)
+        layer0 = (None if table is None
+                  else [a[index[rows].ravel()] for a in table])
+        out[rows] = _lean_forward(config, params, tokens[rows], layer0)
+    return out
 
 
 def _submit(config: TinyEncoderConfig, params: dict[str, np.ndarray],
@@ -339,11 +481,16 @@ def _result(future: Future) -> np.ndarray:
 
 
 def predict(model: TinyEncoder, tokens: np.ndarray) -> np.ndarray:
-    """Logits [rows, num_classes] as a plain array, computed in batches.
+    """Logits [rows, num_classes] as a plain array, computed in batches of
+    64 rows by the lean forward (``_predict_share``): bitwise
+    ``model.forward`` of each batch, with no tape, and the same checks and
+    messages on the tokens. It records nothing on an active tape.
 
-    Call it off-tape: nothing here is differentiated. Each row's logits do
-    not depend on the batch it is in, so the result is bitwise the forward
-    of any subset of the rows.
+    A row's logits do not depend on the other rows of its batch as long as
+    the batch has two or more rows; a batch of one row takes another BLAS
+    path and may differ in the last bits. So ``predict(model, tokens[:n])``
+    equals ``predict(model, tokens)[:n]`` unless ``n`` leaves a last batch
+    of one row (n = 1, 65, 129, ...).
 
     The 64-row batches are split into contiguous shares, one for each CPU
     the process may run on (``os.sched_getaffinity``). The caller computes
@@ -354,17 +501,17 @@ def predict(model: TinyEncoder, tokens: np.ndarray) -> np.ndarray:
     loop and starts no process: ``taskset -c 0`` gives the serial path. A
     worker's exception is raised here; a worker that died raises
     BrokenProcessPool, and the next call starts a fresh pool."""
-    tokens = np.asarray(tokens)
+    tokens = _checked_tokens(model.config, tokens)
+    params = {name: p.data for name, p in model.params.items()}
     n = tokens.shape[0]
     batches = -(-n // _PREDICT_BATCH)
     shares = min(_cpu_count(), batches)
     if shares < 2:
-        return _predict_batches(model, tokens)
+        return _predict_share(model.config, params, tokens)
     cuts = [_PREDICT_BATCH * (batches * i // shares) for i in range(shares)] + [n]
-    params = {name: p.data for name, p in model.params.items()}
     futures = [_submit(model.config, params, tokens[lo:hi])
                for lo, hi in zip(cuts[1:], cuts[2:])]
-    head = _predict_batches(model, tokens[:cuts[1]])
+    head = _predict_share(model.config, params, tokens[:cuts[1]])
     return np.concatenate([head] + [_result(f) for f in futures])
 
 

@@ -1,6 +1,5 @@
 """Tiny encoder: construction, forward invariants, teacher training."""
 
-import math
 import multiprocessing
 import os
 import signal
@@ -12,13 +11,13 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from scipy.special import erf
 
 from gradprune import models
 from gradprune.checkpoint import load_checkpoint, save_checkpoint
 from gradprune.distillation import TeacherHandle
 from gradprune.harness import TrainingDiverged, _batches, train_teacher
 from gradprune.models import (
+    Evaluations,
     TinyEncoder,
     TinyEncoderConfig,
     encoder_from_checkpoint,
@@ -28,7 +27,9 @@ from gradprune.models import (
     predict,
     prunable_parameter_names,
 )
+from gradprune.pruning import apply_masks, fresh_masks, magnitude_prune
 from gradprune.tasks import SyntheticTask, generate_task
+from gradprune.tensor import Tape
 
 SMALL = TinyEncoderConfig(vocab_size=16, max_sequence_length=8, hidden_dim=32,
                           num_layers=2, num_heads=4, ffn_dim=64, num_classes=3)
@@ -235,8 +236,9 @@ def test_evaluate_validates_lengths():
 
 
 def test_forward_rows_do_not_depend_on_batch():
-    # predict's batch size is a speed choice only: a row's logits must be
-    # bitwise the same whichever rows share its batch
+    # predict's batch size is a speed choice only: a row's logits are
+    # bitwise the same whichever rows share its batch, as long as the batch
+    # has two or more rows
     data = generate_task(SyntheticTask(train_size=64, val_size=1024))
     model = TinyEncoder.build(TinyEncoderConfig(num_classes=data.task.num_classes,
                                                 seed=3))
@@ -247,58 +249,138 @@ def test_forward_rows_do_not_depend_on_batch():
                                for i in range(0, tokens.shape[0], size)])
 
     ref = chunked(256)
-    for size in (64, 32, 17):
+    for size in (64, 32, 17, 5, 2):  # every last chunk has 2+ rows
         assert chunked(size).tobytes() == ref.tobytes()
+    whole = predict(model, tokens)
+    assert whole.tobytes() == ref.tobytes()
+    for n in (2, 63, 64, 66, 130, 1000):
+        assert predict(model, tokens[:n]).tobytes() == whole[:n].tobytes()
 
 
-def reference_logits(params: dict, cfg: TinyEncoderConfig,
-                     tokens: np.ndarray) -> np.ndarray:
-    """TinyEncoder.forward in bare numpy: the same operations in the same
-    order, with no Tensor, tape or op-level check in between."""
-    batch, seq = tokens.shape
-    head_dim = cfg.hidden_dim // cfg.num_heads
-    scale = 1.0 / math.sqrt(head_dim)
+def test_a_one_row_batch_is_the_one_row_forward():
+    # the exception to the rule above: a batch of one row takes another BLAS
+    # path, so when n leaves a last batch of one row, that row is the 1-row
+    # forward's, which may differ from the same row in a larger batch in its
+    # last bits
+    data = generate_task(SyntheticTask(train_size=64, val_size=256))
+    model = TinyEncoder.build(TinyEncoderConfig(num_classes=data.task.num_classes,
+                                                seed=3))
+    tokens = data.val.tokens
+    whole = predict(model, tokens)
+    for n in (1, 65, 129):
+        part = predict(model, tokens[:n])
+        alone = model.forward(tokens[n - 1:n]).data
+        assert part[:n - 1].tobytes() == whole[:n - 1].tobytes()
+        assert part[n - 1:].tobytes() == alone.tobytes()
+        np.testing.assert_allclose(part[n - 1], whole[n - 1], rtol=0, atol=1e-12)
 
-    def linear(x, name):
-        lead = x.shape[:-1]
-        flat = x.reshape((int(np.prod(lead)), x.shape[-1]))
-        y = flat @ params[name + ".weight"] + params[name + ".bias"]
-        return y.reshape(lead + (y.shape[-1],))
 
-    def norm(x, name):
-        xc = x - x.mean(axis=-1, keepdims=True)
-        inv = 1.0 / np.sqrt(np.mean(xc * xc, axis=-1, keepdims=True) + 1e-5)
-        return xc * inv * params[name + ".gain"] + params[name + ".bias"]
-
-    def split_heads(x):
-        return x.reshape((batch, seq, cfg.num_heads, head_dim)).transpose((0, 2, 1, 3))
-
-    x = params["embedding.token.weight"][tokens]
-    x = x + params["embedding.position.weight"][np.arange(seq)]
-    for i in range(cfg.num_layers):
-        pre = f"encoder.layer{i}."
-        h = norm(x, pre + "norm1")
-        q, k, v = (split_heads(linear(h, pre + f"attention.{proj}"))
-                   for proj in ("query", "key", "value"))
-        scores = (q @ k.transpose((0, 1, 3, 2))) * scale
-        e = np.exp(scores - scores.max(axis=-1, keepdims=True))
-        attn = e / e.sum(axis=-1, keepdims=True)
-        ctx = (attn @ v).transpose((0, 2, 1, 3)).reshape((batch, seq, cfg.hidden_dim))
-        x = x + linear(ctx, pre + "attention.output")
-        h = linear(norm(x, pre + "norm2"), pre + "ffn.expand")
-        h = h * ((erf(h / math.sqrt(2.0)) + 1.0) * 0.5)
-        x = x + linear(h, pre + "ffn.reduce")
-    pooled = norm(x, "head.norm").mean(axis=1)
-    return pooled @ params["head.classifier.weight"] + params["head.classifier.bias"]
+def tape_logits(model, tokens):
+    """The oracle: ``TinyEncoder.forward`` of each of predict's 64-row
+    batches, in order."""
+    tokens = np.asarray(tokens)
+    out = [model.forward(tokens[i:i + 64]).data
+           for i in range(0, tokens.shape[0], 64)]
+    return np.concatenate(out) if out else np.empty((0, model.config.num_classes))
 
 
 def test_predict_is_bitwise_the_bare_numpy_forward(teacher_setup):
-    # a portable pin: it holds on any BLAS build, unlike stored digests
+    # predict's lean forward against the tape forward it reproduces: a
+    # portable pin, it holds on any BLAS build, unlike stored digests
     _, _, ckpt = teacher_setup
     tokens = generate_task(SyntheticTask(val_size=1024)).val.tokens
     model = encoder_from_checkpoint(ckpt, requires_grad=False)
-    expected = reference_logits(ckpt.params, model.config, tokens)
-    assert predict(model, tokens).tobytes() == expected.tobytes()
+    assert predict(model, tokens).tobytes() == tape_logits(model, tokens).tobytes()
+
+
+@pytest.fixture(scope="module")
+def three_models(teacher_setup):
+    """The desk teacher, a student pruned to 90% with its masks applied,
+    and a fresh init."""
+    _, _, ckpt = teacher_setup
+    teacher = encoder_from_checkpoint(ckpt, requires_grad=False)
+    student = encoder_from_checkpoint(ckpt)
+    prunable = {n: student.params[n].data
+                for n in prunable_parameter_names(student.params)}
+    masks = magnitude_prune(prunable, fresh_masks(prunable), 0.9)
+    apply_masks(student.params, masks)
+    assert all(not m.all() for m in masks.values())
+    fresh = TinyEncoder.build(TinyEncoderConfig(**{**ckpt.config, "seed": 5}))
+    return {"teacher": teacher, "pruned": student, "fresh": fresh}
+
+
+@pytest.mark.parametrize("kind", ["teacher", "pruned", "fresh"])
+def test_predict_is_bitwise_the_tape_forward_at_every_cpu_count(cpus, three_models,
+                                                                kind):
+    model = three_models[kind]
+    tokens = generate_task(SyntheticTask(val_size=1024)).val.tokens
+    cases = {f"{n} rows": tokens[:n] for n in (0, 1, 2, 63, 64, 65, 129, 1000, 1024)}
+    # length-1 sequences: the only shape whose layer-0 rows can be one row
+    cases.update({
+        "length 1, 1 row": tokens[:1, :1],
+        "length 1, 2 equal rows": np.repeat(tokens[:1, :1], 2, axis=0),
+        "length 1, 65 rows": tokens[:65, :1],
+        "length 1, 65 equal rows": np.repeat(tokens[:1, :1], 65, axis=0),
+        "1024 equal rows": np.repeat(tokens[:1], 1024, axis=0),
+    })
+    expected = {name: tape_logits(model, t).tobytes() for name, t in cases.items()}
+    for count in (1, 2, 3):
+        cpus(count)
+        for name, t in cases.items():
+            assert predict(model, t).tobytes() == expected[name], (count, name)
+
+
+def test_the_layer0_table_is_bounded_by_the_call():
+    # 3 rows of 8 tokens from a vocabulary of 5,000: 24 pairs at most, where
+    # the pair space holds 40,000
+    config = TinyEncoderConfig(vocab_size=5000, max_sequence_length=8, hidden_dim=16,
+                               num_heads=2, ffn_dim=16, num_classes=3)
+    model = TinyEncoder.build(config)
+    tokens = np.array([[4999, 0, 7, 7, 4999, 1, 2, 3],
+                       [4999, 0, 9, 7, 11, 1, 2, 3],
+                       [12, 13, 14, 15, 16, 17, 18, 4998]])
+    params = {n: p.data for n, p in model.params.items()}
+    table, index = models._layer0_table(config, params, tokens)
+    assert all(a.shape == (18, config.hidden_dim) for a in table)
+    assert index.shape == tokens.shape
+    assert predict(model, tokens).tobytes() == tape_logits(model, tokens).tobytes()
+
+
+@pytest.mark.parametrize("case", ["negative id", "id equal to vocab_size",
+                                  "float ids", "1-D tokens", "too long"])
+def test_predict_rejects_bad_tokens_as_forward_does(cpus, val_rows, case):
+    model, split = val_rows
+    cfg = model.config
+    tokens = split.tokens[:200].copy()
+    if case == "negative id":
+        tokens[150, 3] = -1
+    elif case == "id equal to vocab_size":
+        tokens[150, 3] = cfg.vocab_size
+    elif case == "float ids":
+        tokens = tokens.astype(np.float64)
+    elif case == "1-D tokens":
+        tokens = tokens[:, 0]
+    else:
+        tokens = np.zeros((200, cfg.max_sequence_length + 1), dtype=np.int64)
+    with pytest.raises(ValueError) as expected:
+        model.forward(tokens)
+    for count in (1, 2):
+        cpus(count)
+        with pytest.raises(ValueError) as raised:
+            predict(model, tokens)
+        assert str(raised.value) == str(expected.value)
+
+
+def test_predict_records_nothing_on_an_active_tape(three_models):
+    model = three_models["pruned"]
+    assert all(p.requires_grad for p in model.params.values())
+    tokens = generate_task(SyntheticTask(val_size=128)).val.tokens
+    with Tape() as tape:
+        logits = predict(model, tokens)
+        assert len(tape) == 0
+        model.forward(tokens[:2])
+        assert len(tape) > 0
+    assert logits.tobytes() == tape_logits(model, tokens).tobytes()
 
 
 # ---------------------------------------------------------------------------
@@ -312,12 +394,6 @@ def val_rows():
     model = TinyEncoder.build(TinyEncoderConfig(num_classes=data.task.num_classes,
                                                 seed=3))
     return model, data.val
-
-
-def serial_logits(model, tokens):
-    """predict's loop before the pool: every 64-row batch in the caller."""
-    return np.concatenate([model.forward(tokens[i:i + 64]).data
-                           for i in range(0, tokens.shape[0], 64)])
 
 
 def pool_children() -> set[int]:
@@ -334,7 +410,7 @@ def test_pool_predict_is_bitwise_the_serial_loop(cpus, val_rows, count):
     cpus(count)
     for rows in (1, 63, 64, 65, 129, 1000, 1024):
         tokens = split.tokens[:rows]
-        assert predict(model, tokens).tobytes() == serial_logits(model, tokens).tobytes()
+        assert predict(model, tokens).tobytes() == tape_logits(model, tokens).tobytes()
     assert models._pool[1] == count
     assert evaluate(model, split.tokens, split.labels) == serial_accuracy
 
@@ -349,14 +425,22 @@ def test_predict_on_one_cpu_starts_no_worker(cpus, val_rows):
 
 
 def test_worker_exception_is_raised_in_the_caller(cpus, val_rows):
+    # predict checks the tokens before it shares them; an evaluation in the
+    # background hands them to a worker unchecked, and the worker's check
+    # raises when the evaluation is collected
     model, split = val_rows
     cpus(2)
     tokens = split.tokens[:128].copy()
-    tokens[-1, 0] = model.config.vocab_size  # in the worker's share only
+    tokens[-1, 0] = model.config.vocab_size  # in predict's second share only
     with pytest.raises(ValueError, match="ids out of range"):
         predict(model, tokens)
+    evaluations = Evaluations(tokens, split.labels[:128])
+    evaluations.submit(model)
+    with pytest.raises(ValueError, match="ids out of range"):
+        evaluations.accuracies()
+    evaluations.cancel()
     tokens = split.tokens[:128]
-    assert predict(model, tokens).tobytes() == serial_logits(model, tokens).tobytes()
+    assert predict(model, tokens).tobytes() == tape_logits(model, tokens).tobytes()
 
 
 def test_non_finite_parameters_give_the_same_logits_on_every_cpu_count(cpus, val_rows):
