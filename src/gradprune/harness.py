@@ -289,8 +289,9 @@ def run(
         raise ValueError("recipe has kd.hardness > 0 but no teacher was given")
     # The teacher runs once, over the whole training split; each step takes
     # its batch's rows of the table. For a batch of two or more rows that is
-    # bitwise what a forward of the batch alone gives; a 1-row batch's
-    # forward takes another BLAS path and may differ in the last bits.
+    # bitwise what a forward of the batch alone gives, on a BLAS that keeps
+    # the rule ``models._predict_share`` names; a 1-row batch's forward
+    # takes another BLAS path and may differ in the last bits.
     teacher_logits = (TeacherHandle(teacher).logits(data.train.tokens)
                       if recipe.kd.hardness > 0.0 else None)
     policy = recipe.sparsity.policy if recipe.sparsity is not None else "uniform"

@@ -38,6 +38,7 @@ from .tensor import (
     matmul,
     softmax,
     _SQRT2,
+    _checked_ids,
 )
 
 
@@ -161,7 +162,7 @@ class TinyEncoder:
 
     def forward(self, tokens: np.ndarray) -> Tensor:
         """tokens [batch, seq] of ids -> logits [batch, num_classes]."""
-        tokens = _checked_tokens(self.config, tokens)
+        tokens = _checked_shape(self.config, tokens)
         batch, seq = tokens.shape
         cfg = self.config
         head_dim = cfg.hidden_dim // cfg.num_heads
@@ -301,10 +302,9 @@ def _resetting_a_broken_pool():
         raise
 
 
-def _checked_tokens(config: TinyEncoderConfig, tokens) -> np.ndarray:
-    """``tokens`` as an array, after the checks ``TinyEncoder.forward`` and
-    ``embedding`` make, with their messages: 2-D, no longer than
-    ``max_sequence_length``, integer ids in ``[0, vocab_size)``."""
+def _checked_shape(config: TinyEncoderConfig, tokens) -> np.ndarray:
+    """``tokens`` as an array, after ``TinyEncoder.forward``'s checks: 2-D,
+    no longer than ``max_sequence_length``."""
     tokens = np.asarray(tokens)
     if tokens.ndim != 2:
         raise ValueError(f"tokens must be [batch, seq], got shape {tokens.shape}")
@@ -313,14 +313,14 @@ def _checked_tokens(config: TinyEncoderConfig, tokens) -> np.ndarray:
             f"sequence length {tokens.shape[1]} exceeds maximum "
             f"{config.max_sequence_length}"
         )
-    if not np.issubdtype(tokens.dtype, np.integer):
-        raise ValueError(f"embedding: ids must be integers, got dtype {tokens.dtype}")
-    if tokens.size and (tokens.min() < 0 or tokens.max() >= config.vocab_size):
-        raise ValueError(
-            f"embedding: ids out of range [0, {config.vocab_size}), "
-            f"got min {tokens.min()} max {tokens.max()}"
-        )
     return tokens
+
+
+def _checked_tokens(config: TinyEncoderConfig, tokens) -> np.ndarray:
+    """``tokens`` after the checks ``forward`` makes and then ``embedding``
+    makes of the ids, with their messages. The lean forward checks nothing:
+    ``predict`` and ``Evaluations`` check the tokens on the way in."""
+    return _checked_ids(_checked_shape(config, tokens), config.vocab_size)
 
 
 # The lean forward below is ``TinyEncoder.forward`` in plain numpy: the same
@@ -360,35 +360,39 @@ def _lean_qkv(params: dict[str, np.ndarray], x: np.ndarray, pre: str) -> list[np
             for proj in ("query", "key", "value")]
 
 
+def _pair_ids(config: TinyEncoderConfig, tokens: np.ndarray) -> np.ndarray:
+    """Each token's (position, token) pair as ``position * vocab_size +
+    token``."""
+    seq = tokens.shape[1]
+    return tokens.astype(np.intp) + np.arange(seq, dtype=np.intp) * config.vocab_size
+
+
+def _table_pairs(config: TinyEncoderConfig, tokens: np.ndarray) -> np.ndarray | None:
+    """The distinct pairs of a call's checked tokens, sorted: the rows of its
+    layer-0 table. None where the call gets no table: for length-1
+    sequences, and where the pair space (``seq * vocab_size``) exceeds the
+    call's tokens, so the presence mask and the table stay within the call."""
+    n, seq = tokens.shape
+    if seq < 2 or config.vocab_size > n:
+        return None
+    present = np.zeros(seq * config.vocab_size, dtype=bool)
+    present[_pair_ids(config, tokens)] = True
+    return np.flatnonzero(present)
+
+
 def _layer0_table(config: TinyEncoderConfig, params: dict[str, np.ndarray],
-                  tokens: np.ndarray) -> tuple[list[np.ndarray], np.ndarray]:
+                  pairs: np.ndarray, tokens: np.ndarray) -> tuple[list[np.ndarray], np.ndarray]:
     """Layer 0 up to attention (the embedding sum, norm1, then q, k and v)
     depends on a token's (position, token) pair only: q, k and v for each
-    distinct pair of ``tokens``, and each token's row in them.
-
-    The pairs are those present in the call, found with a presence mask
-    where the pair space is no larger than the call and with ``np.unique``
-    where it is, so a large vocabulary costs no more than the rows served.
-    Every row holds positions 0 and 1 when ``seq >= 2``, so the table has
-    at least two rows; the caller keeps length-1 sequences off it (see
-    ``_predict_share``)."""
+    of the call's ``pairs`` (``_table_pairs``), and the row in them of each
+    of ``tokens``, a share of that call. Every row of the call holds
+    positions 0 and 1, so the table has at least two rows."""
     vocab = config.vocab_size
-    seq = tokens.shape[1]
-    pairs = tokens.astype(np.intp) + np.arange(seq, dtype=np.intp) * vocab
-    space = seq * vocab
-    if space <= pairs.size:
-        present = np.zeros(space, dtype=bool)
-        present[pairs] = True
-        distinct = np.flatnonzero(present)
-        row_of = np.empty(space, dtype=np.intp)
-        row_of[distinct] = np.arange(distinct.size)
-        index = row_of[pairs]
-    else:
-        distinct, index = np.unique(pairs, return_inverse=True)
-        index = index.reshape(pairs.shape)
-    x = (params["embedding.token.weight"][distinct % vocab]
-         + params["embedding.position.weight"][distinct // vocab])
-    return _lean_qkv(params, x, "encoder.layer0."), index
+    row_of = np.empty(tokens.shape[1] * vocab, dtype=np.intp)
+    row_of[pairs] = np.arange(pairs.size)
+    x = (params["embedding.token.weight"][pairs % vocab]
+         + params["embedding.position.weight"][pairs // vocab])
+    return _lean_qkv(params, x, "encoder.layer0."), row_of[_pair_ids(config, tokens)]
 
 
 def _lean_forward(config: TinyEncoderConfig, params: dict[str, np.ndarray],
@@ -434,29 +438,33 @@ def _lean_forward(config: TinyEncoderConfig, params: dict[str, np.ndarray],
 
 
 def _predict_share(config: TinyEncoderConfig, params: dict[str, np.ndarray],
-                   tokens: np.ndarray) -> np.ndarray:
-    """Logits of ``tokens``, 64-row batch by 64-row batch, from the arrays
-    alone: the lean forward, bitwise ``TinyEncoder.forward`` of each batch.
-    A pool worker runs it on its share, and the caller on its own.
+                   tokens: np.ndarray, pairs: np.ndarray | None) -> np.ndarray:
+    """Logits of checked ``tokens``, 64-row batch by 64-row batch, from the
+    arrays alone: the lean forward of each batch. A pool worker runs it on
+    its share of a call, and the caller on its own. ``pairs`` are the whole
+    call's ``_table_pairs``, so every share builds the same layer-0 table,
+    of the same row count, at any CPU count; with None, layer 0 runs batch
+    by batch as the rest does.
 
-    It checks the tokens as ``forward`` does, with the same messages, and
-    makes no finiteness check, as ``forward`` makes none of its parameters.
+    It checks nothing: ``predict`` and ``Evaluations`` check the tokens
+    first. Like ``forward``, it makes no finiteness check of the parameters.
     It records nothing on any tape.
 
-    Bitwise rules. A matmul's row r depends on the other rows only through
-    their count, and only as 1 against 2 or more (BLAS takes another path
-    for one row). Everything from layer 0's attention on runs on the same
-    64-row batches as before. Layer 0 before attention is computed once per
-    distinct (position, token) pair of the share (``_layer0_table``) and
-    gathered; the table and a batch's layer-0 rows both hold 2 or more rows
-    when ``seq >= 2``. Length-1 sequences skip the table: there a batch of
-    one row must take the 1-row path, and a table of one distinct token
-    must not."""
-    tokens = _checked_tokens(config, tokens)
-    n, seq = tokens.shape
+    Bitwise rules. Every matmul from layer 0's attention on runs on the
+    64-row batches ``forward`` would, so its row counts do not depend on the
+    CPU count or on the table. The table's Q/K/V matmuls run on the call's
+    distinct pairs, 2 or more rows, where ``forward`` runs its batch's
+    tokens: equal bytes there rest on BLAS giving a row the same bits at
+    any row count of 2 or more. On numpy's OpenBLAS 0.3.31 (x86-64 Xeon,
+    Haswell kernels, 1 and 2 threads) that holds for 16-, 32-, 64- and
+    128-wide projections at 2 to 4,096 rows, and for 64-wide ones at up to
+    65,536; one row takes another path and differs. It is no general rule:
+    a 64 x 4 matmul, the head's shape, changes path at 3,907 rows. Length-1 sequences get no table: there a batch of one row
+    must take the 1-row path, and a table of one distinct token must not."""
+    n = tokens.shape[0]
     out = np.empty((n, config.num_classes))
-    table, index = (_layer0_table(config, params, tokens) if seq > 1
-                    else (None, None))
+    table, index = ((None, None) if pairs is None
+                    else _layer0_table(config, params, pairs, tokens))
     for start in range(0, n, _PREDICT_BATCH):
         rows = slice(start, start + _PREDICT_BATCH)
         layer0 = (None if table is None
@@ -466,12 +474,12 @@ def _predict_share(config: TinyEncoderConfig, params: dict[str, np.ndarray],
 
 
 def _submit(config: TinyEncoderConfig, params: dict[str, np.ndarray],
-            tokens: np.ndarray) -> Future:
+            tokens: np.ndarray, pairs: np.ndarray | None) -> Future:
     """``_predict_share`` of ``tokens`` in the pool. The arrays are pickled
     later, on the pool's feeder thread: they must not change until the
     future is done."""
     with _resetting_a_broken_pool():
-        return _executor().submit(_predict_share, config, params, tokens)
+        return _executor().submit(_predict_share, config, params, tokens, pairs)
 
 
 def _result(future: Future) -> np.ndarray:
@@ -490,28 +498,33 @@ def predict(model: TinyEncoder, tokens: np.ndarray) -> np.ndarray:
     the batch has two or more rows; a batch of one row takes another BLAS
     path and may differ in the last bits. So ``predict(model, tokens[:n])``
     equals ``predict(model, tokens)[:n]`` unless ``n`` leaves a last batch
-    of one row (n = 1, 65, 129, ...).
+    of one row (n = 1, 65, 129, ...). Calls of ``vocab_size`` rows or more
+    with sequences of 2 or more tokens compute layer 0's Q/K/V once per
+    distinct (position, token) pair of the call; that this equals the
+    batch's own rows rests on the BLAS rule ``_predict_share`` names.
 
     The 64-row batches are split into contiguous shares, one for each CPU
     the process may run on (``os.sched_getaffinity``). The caller computes
     the first share; each other share goes to a worker of the pool, which
     has one worker per CPU (so one sits idle here; ``Evaluations`` keeps it
-    busy) and runs the same loop on the same batches, so the bytes do not
-    depend on the CPU count. One CPU, or a single batch, runs the serial
+    busy) and runs the same loop on the same batches with the same layer-0
+    table, so the bytes do not depend on the CPU count. One CPU, or a single batch, runs the serial
     loop and starts no process: ``taskset -c 0`` gives the serial path. A
     worker's exception is raised here; a worker that died raises
     BrokenProcessPool, and the next call starts a fresh pool."""
-    tokens = _checked_tokens(model.config, tokens)
+    config = model.config
+    tokens = _checked_tokens(config, tokens)
     params = {name: p.data for name, p in model.params.items()}
+    pairs = _table_pairs(config, tokens)
     n = tokens.shape[0]
     batches = -(-n // _PREDICT_BATCH)
     shares = min(_cpu_count(), batches)
     if shares < 2:
-        return _predict_share(model.config, params, tokens)
+        return _predict_share(config, params, tokens, pairs)
     cuts = [_PREDICT_BATCH * (batches * i // shares) for i in range(shares)] + [n]
-    futures = [_submit(model.config, params, tokens[lo:hi])
+    futures = [_submit(config, params, tokens[lo:hi], pairs)
                for lo, hi in zip(cuts[1:], cuts[2:])]
-    head = _predict_share(model.config, params, tokens[:cuts[1]])
+    head = _predict_share(config, params, tokens[:cuts[1]], pairs)
     return np.concatenate([head] + [_result(f) for f in futures])
 
 
@@ -540,7 +553,8 @@ class Evaluations:
     """``evaluate`` of snapshots of a model on one split, run while the
     caller goes on, and collected in the order they were submitted.
 
-    On more than one CPU, ``submit`` copies the parameters (the caller goes
+    ``submit`` checks the tokens as ``predict`` does, so a bad token raises
+    there. On more than one CPU, it copies the parameters (the caller goes
     on changing them in place) and hands the whole split to one pool worker.
     At most one evaluation per worker is pending: a further ``submit`` first
     waits for the oldest. Each accuracy comes from the worker's logits
@@ -562,10 +576,12 @@ class Evaluations:
         if self._workers < 2:
             self._done.append(evaluate(model, self.tokens, self.labels))
             return
+        tokens = _checked_tokens(model.config, self.tokens)
         if len(self._pending) >= self._workers:
             self._collect_oldest()
         snapshot = {name: p.data.copy() for name, p in model.params.items()}
-        self._pending.append(_submit(model.config, snapshot, self.tokens))
+        self._pending.append(_submit(model.config, snapshot, tokens,
+                                     _table_pairs(model.config, tokens)))
 
     def _collect_oldest(self) -> None:
         logits = _result(self._pending[0])

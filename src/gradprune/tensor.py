@@ -373,19 +373,26 @@ def transpose(x: Tensor, axes: Sequence[int]) -> Tensor:
     return _output(x.data.transpose(axes), (x,), lambda g: (g.transpose(inverse),))
 
 
+def _checked_ids(ids, rows: int) -> np.ndarray:
+    """``ids`` as an array, after ``embedding``'s checks: integers in
+    ``[0, rows)``. Numpy indexing would wrap a negative id silently."""
+    ids = np.asarray(ids)
+    if not np.issubdtype(ids.dtype, np.integer):
+        raise ValueError(f"embedding: ids must be integers, got dtype {ids.dtype}")
+    if ids.size and (ids.min() < 0 or ids.max() >= rows):
+        raise ValueError(
+            f"embedding: ids out of range [0, {rows}), "
+            f"got min {ids.min()} max {ids.max()}"
+        )
+    return ids
+
+
 def embedding(table: Tensor, ids: np.ndarray) -> Tensor:
     """Row lookup: out[..., :] = table[ids[...], :]."""
     table = _as_tensor(table)
-    ids = np.asarray(ids)
     if table.data.ndim != 2:
         raise ValueError(f"embedding: table must be 2-D, got {table.data.shape}")
-    if not np.issubdtype(ids.dtype, np.integer):
-        raise ValueError(f"embedding: ids must be integers, got dtype {ids.dtype}")
-    if ids.size and (ids.min() < 0 or ids.max() >= table.data.shape[0]):
-        raise ValueError(
-            f"embedding: ids out of range [0, {table.data.shape[0]}), "
-            f"got min {ids.min()} max {ids.max()}"
-        )
+    ids = _checked_ids(ids, table.data.shape[0])
     table_shape = table.data.shape
 
     def grad_fn(g):

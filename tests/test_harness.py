@@ -388,11 +388,11 @@ def test_emit_schedule_matches_timeline(tmp_path):
 REAL_SHARE = models._predict_share
 
 
-def slow_share(config, params, tokens):
+def slow_share(*args):
     """The pool's worker function after a pause, so that evaluations pile up
     behind training. Module level, so a forked worker finds it by name."""
     time.sleep(0.2)
-    return REAL_SHARE(config, params, tokens)
+    return REAL_SHARE(*args)
 
 
 def recording_submit(monkeypatch) -> tuple[list, list]:

@@ -285,8 +285,12 @@ def tape_logits(model, tokens):
 
 
 def test_predict_is_bitwise_the_bare_numpy_forward(teacher_setup):
-    # predict's lean forward against the tape forward it reproduces: a
-    # portable pin, it holds on any BLAS build, unlike stored digests
+    # predict's lean forward against the tape forward it reproduces, on the
+    # same 64-row batches. It needs no stored digest, but it does rest on one
+    # BLAS rule: layer 0's Q/K/V run on the call's distinct (position,
+    # token) pairs, where the tape runs each batch's tokens, so a row must
+    # get the same bits at any row count of 2 or more (true of the OpenBLAS
+    # numpy ships with, for these shapes)
     _, _, ckpt = teacher_setup
     tokens = generate_task(SyntheticTask(val_size=1024)).val.tokens
     model = encoder_from_checkpoint(ckpt, requires_grad=False)
@@ -330,20 +334,21 @@ def test_predict_is_bitwise_the_tape_forward_at_every_cpu_count(cpus, three_mode
             assert predict(model, t).tobytes() == expected[name], (count, name)
 
 
-def test_the_layer0_table_is_bounded_by_the_call():
-    # 3 rows of 8 tokens from a vocabulary of 5,000: 24 pairs at most, where
-    # the pair space holds 40,000
+def test_the_layer0_table_is_bounded_by_the_call(cpus):
+    # a vocabulary of 5,000: 3 rows, fewer than the vocabulary, get no
+    # table; 5,000 rows of 8 random tokens get one of mostly distinct pairs
     config = TinyEncoderConfig(vocab_size=5000, max_sequence_length=8, hidden_dim=16,
                                num_heads=2, ffn_dim=16, num_classes=3)
     model = TinyEncoder.build(config)
-    tokens = np.array([[4999, 0, 7, 7, 4999, 1, 2, 3],
-                       [4999, 0, 9, 7, 11, 1, 2, 3],
-                       [12, 13, 14, 15, 16, 17, 18, 4998]])
-    params = {n: p.data for n, p in model.params.items()}
-    table, index = models._layer0_table(config, params, tokens)
-    assert all(a.shape == (18, config.hidden_dim) for a in table)
-    assert index.shape == tokens.shape
-    assert predict(model, tokens).tobytes() == tape_logits(model, tokens).tobytes()
+    few = np.array([[4999, 0, 7, 7, 4999, 1, 2, 3],
+                    [4999, 0, 9, 7, 11, 1, 2, 3],
+                    [12, 13, 14, 15, 16, 17, 18, 4998]])
+    many = np.random.default_rng(0).integers(0, 5000, size=(5000, 8))
+    for tokens in (few, many):
+        expected = tape_logits(model, tokens).tobytes()
+        for count in (1, 2):
+            cpus(count)
+            assert predict(model, tokens).tobytes() == expected
 
 
 @pytest.mark.parametrize("case", ["negative id", "id equal to vocab_size",
@@ -369,6 +374,11 @@ def test_predict_rejects_bad_tokens_as_forward_does(cpus, val_rows, case):
         with pytest.raises(ValueError) as raised:
             predict(model, tokens)
         assert str(raised.value) == str(expected.value)
+        evaluations = Evaluations(tokens, split.labels[:200])
+        with pytest.raises(ValueError) as raised:
+            evaluations.submit(model)
+        assert str(raised.value) == str(expected.value)
+        assert evaluations.accuracies() == []
 
 
 def test_predict_records_nothing_on_an_active_tape(three_models):
@@ -415,6 +425,26 @@ def test_pool_predict_is_bitwise_the_serial_loop(cpus, val_rows, count):
     assert evaluate(model, split.tokens, split.labels) == serial_accuracy
 
 
+def test_every_share_gets_the_pairs_of_the_whole_call(cpus, val_rows, monkeypatch):
+    # each share builds its layer-0 table from the call's pairs, not from its
+    # own, so no matmul's row count depends on the CPU count
+    model, split = val_rows
+    tokens = split.tokens
+    whole = models._table_pairs(model.config, tokens)
+    assert whole.size != models._table_pairs(model.config, tokens[-64:]).size
+    sent = []
+    real_submit = models._submit
+
+    def submit(config, params, share, pairs):
+        sent.append(pairs)
+        return real_submit(config, params, share, pairs)
+
+    monkeypatch.setattr(models, "_submit", submit)
+    cpus(3)
+    predict(model, tokens)
+    assert [p.tobytes() for p in sent] == [whole.tobytes()] * 2
+
+
 def test_predict_on_one_cpu_starts_no_worker(cpus, val_rows):
     model, split = val_rows
     cpus(1)
@@ -424,22 +454,35 @@ def test_predict_on_one_cpu_starts_no_worker(cpus, val_rows):
     assert pool_children() == before
 
 
-def test_worker_exception_is_raised_in_the_caller(cpus, val_rows):
-    # predict checks the tokens before it shares them; an evaluation in the
-    # background hands them to a worker unchecked, and the worker's check
-    # raises when the evaluation is collected
+CALLER = os.getpid()
+REAL_SHARE = models._predict_share
+
+
+def share_failing_in_a_worker(*args):
+    """``_predict_share`` that raises in any process but the test's. Module
+    level, so a forked worker finds it by name."""
+    if os.getpid() != CALLER:
+        raise ValueError("failed in a worker")
+    return REAL_SHARE(*args)
+
+
+def test_worker_exception_is_raised_in_the_caller(cpus, val_rows, monkeypatch):
+    # predict raises its second share's exception; an evaluation in the
+    # background raises its worker's when it is collected. The pool is made
+    # before the patch: a worker forked under it would keep failing
     model, split = val_rows
     cpus(2)
-    tokens = split.tokens[:128].copy()
-    tokens[-1, 0] = model.config.vocab_size  # in predict's second share only
-    with pytest.raises(ValueError, match="ids out of range"):
-        predict(model, tokens)
-    evaluations = Evaluations(tokens, split.labels[:128])
-    evaluations.submit(model)
-    with pytest.raises(ValueError, match="ids out of range"):
-        evaluations.accuracies()
-    evaluations.cancel()
     tokens = split.tokens[:128]
+    assert predict(model, tokens).tobytes() == tape_logits(model, tokens).tobytes()
+    with monkeypatch.context() as patch:
+        patch.setattr(models, "_predict_share", share_failing_in_a_worker)
+        with pytest.raises(ValueError, match="failed in a worker"):
+            predict(model, tokens)
+        evaluations = Evaluations(tokens, split.labels[:128])
+        evaluations.submit(model)
+        with pytest.raises(ValueError, match="failed in a worker"):
+            evaluations.accuracies()
+        evaluations.cancel()
     assert predict(model, tokens).tobytes() == tape_logits(model, tokens).tobytes()
 
 
