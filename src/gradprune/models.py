@@ -381,7 +381,8 @@ def _table_pairs(config: TinyEncoderConfig, tokens: np.ndarray) -> np.ndarray | 
 
 
 def _layer0_table(config: TinyEncoderConfig, params: dict[str, np.ndarray],
-                  pairs: np.ndarray, tokens: np.ndarray) -> tuple[list[np.ndarray], np.ndarray]:
+                  pairs: np.ndarray,
+                  tokens: np.ndarray) -> tuple[list[np.ndarray], np.ndarray]:
     """Layer 0 up to attention (the embedding sum, norm1, then q, k and v)
     depends on a token's (position, token) pair only: q, k and v for each
     of the call's ``pairs`` (``_table_pairs``), and the row in them of each
@@ -459,8 +460,9 @@ def _predict_share(config: TinyEncoderConfig, params: dict[str, np.ndarray],
     Haswell kernels, 1 and 2 threads) that holds for 16-, 32-, 64- and
     128-wide projections at 2 to 4,096 rows, and for 64-wide ones at up to
     65,536; one row takes another path and differs. It is no general rule:
-    a 64 x 4 matmul, the head's shape, changes path at 3,907 rows. Length-1 sequences get no table: there a batch of one row
-    must take the 1-row path, and a table of one distinct token must not."""
+    a 64 x 4 matmul, the head's shape, changes path at 3,907 rows.
+    Length-1 sequences get no table: there a batch of one row must take the
+    1-row path, and a table of one distinct token must not."""
     n = tokens.shape[0]
     out = np.empty((n, config.num_classes))
     table, index = ((None, None) if pairs is None
@@ -508,8 +510,9 @@ def predict(model: TinyEncoder, tokens: np.ndarray) -> np.ndarray:
     the first share; each other share goes to a worker of the pool, which
     has one worker per CPU (so one sits idle here; ``Evaluations`` keeps it
     busy) and runs the same loop on the same batches with the same layer-0
-    table, so the bytes do not depend on the CPU count. One CPU, or a single batch, runs the serial
-    loop and starts no process: ``taskset -c 0`` gives the serial path. A
+    table, so the bytes do not depend on the CPU count. One CPU, or a
+    single batch, runs the serial loop and starts no process:
+    ``taskset -c 0`` gives the serial path. A
     worker's exception is raised here; a worker that died raises
     BrokenProcessPool, and the next call starts a fresh pool."""
     config = model.config
