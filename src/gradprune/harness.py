@@ -1,13 +1,15 @@
 """Training harness: the training step, teacher training, single runs,
 field sweeps, and schedule dumps.
 
-Every model trains through one step: forward on a tape, distillation loss,
-backward, masked Adam step, mask re-application. A dense teacher is the
-case with hardness 0, no masks and a constant learning rate. A run takes a
-recipe, a task, a seed, and (usually) a teacher checkpoint, and follows
-the compiled timeline step by step: its prune events, and evaluation at
-epoch ends and prune events. Runs are deterministic: the same inputs
-produce byte-identical metrics and checkpoints.
+Every model trains through one step: the encoder's lean forward with a
+cache, the distillation loss on a tape from the logits, the loss's backward
+to the logits, the encoder's hand-written backward, masked Adam step, mask
+re-application. A dense teacher is the case with hardness 0, no masks and
+a constant learning rate. A run takes a recipe, a task, a seed, and
+(usually) a teacher checkpoint, and follows the compiled timeline step by
+step: its prune events, and evaluation at epoch ends and prune events.
+Runs are deterministic: the same inputs produce byte-identical metrics and
+checkpoints.
 
 A run does not wait for its evaluations. Each goes to the evaluation pool
 (``models.Evaluations``, one worker per CPU) as a copy of the student's
@@ -38,6 +40,9 @@ from .models import (
     Evaluations,
     TinyEncoder,
     TinyEncoderConfig,
+    _checked_tokens,
+    _lean_backward,
+    _lean_forward,
     encoder_from_checkpoint,
     evaluate,
     prunable_parameter_names,
@@ -53,7 +58,7 @@ from .pruning import (
 )
 from .recipes import Recipe, compile_timeline, override_field, recipe_hash
 from .tasks import Split, TaskData, iterate_batches, steps_per_epoch
-from .tensor import Tape
+from .tensor import Tape, Tensor
 
 SENTINEL = ".incomplete"
 
@@ -131,22 +136,37 @@ def _train_step(model: TinyEncoder, opt: Adam, split: Split, idx: np.ndarray,
                 step: int, params: dict, masks: dict) -> tuple[float, float, float]:
     """One optimizer step on the batch ``idx``: the loss and its (ce, kl) terms.
 
+    The encoder runs off the tape: the lean forward keeps a cache, and the
+    hand-written backward (``models._lean_backward``) reads it. Only the
+    loss is on a tape, with the logits as its leaf, so ``kd_loss_terms``
+    stays the one loss definition and ``Tape.backward`` gives the logits'
+    gradient. Parameters, gradients and Adam state are bitwise what the
+    whole step on the tape gives (``tests/test_tape.py`` pins that).
+
     ``teacher_logits`` holds the teacher's logits of every row of ``split``
     (None without distillation). Masked entries get no gradient and are
     zeroed again after the update, so pruned weights stay exactly 0.0.
     Non-finite logits or a non-finite loss raise TrainingDiverged before any
     parameter changes.
     """
+    config = model.config
+    tokens = _checked_tokens(config, split.tokens[idx])
+    arrays = {name: p.data for name, p in model.params.items()}
+    cache: list = []
+    logits = _lean_forward(config, arrays, tokens, None, cache)
+    if not np.all(np.isfinite(logits)):
+        raise TrainingDiverged(step)
     targets = teacher_logits[idx] if teacher_logits is not None else None
+    leaf = Tensor(logits, requires_grad=True)
     with Tape() as tape:
-        logits = model.forward(split.tokens[idx])
-        if not np.all(np.isfinite(logits.data)):
-            raise TrainingDiverged(step)
-        loss, ce_term, kl_term = kd_loss_terms(logits, targets, split.labels[idx], kd)
+        loss, ce_term, kl_term = kd_loss_terms(leaf, targets, split.labels[idx], kd)
     loss_value = float(loss.data)
     if not np.isfinite(loss_value):
         raise TrainingDiverged(step)
     tape.backward(loss)
+    grads = _lean_backward(config, arrays, tokens, leaf.grad, cache)
+    for name, p in model.params.items():
+        p.grad = grads[name]
     zero_masked_grads(params, masks)
     opt.step(lr)
     apply_masks(params, masks)

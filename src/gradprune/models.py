@@ -37,6 +37,7 @@ from .tensor import (
     layer_norm,
     matmul,
     softmax,
+    _INV_SQRT_2PI,
     _SQRT2,
     _checked_ids,
 )
@@ -332,6 +333,13 @@ def _checked_tokens(config: TinyEncoderConfig, tokens) -> np.ndarray:
 # ``layer_norm``'s order (mean, subtract, mean of squares, + 1e-5, sqrt,
 # reciprocal, multiply) before gain and bias; scores are (q @ k^T) * scale on
 # the transposed views the tape forward passes to matmul.
+#
+# The lean backward does what ``Tape.backward`` does to the tape of that
+# forward, op by op in reverse, with the tape ops' formulas on the same
+# operands (the same transposed views into each matmul, at the same row
+# counts), in place where it owns the array. Every gradient sum has two
+# terms, whose order does not change the bits, except at norm1's output,
+# which the tape sums as (value + key) + query.
 
 def _lean_linear(params: dict[str, np.ndarray], x: np.ndarray, name: str) -> np.ndarray:
     y = x @ params[name + ".weight"]
@@ -339,8 +347,10 @@ def _lean_linear(params: dict[str, np.ndarray], x: np.ndarray, name: str) -> np.
     return y
 
 
-def _lean_norm(params: dict[str, np.ndarray], x: np.ndarray, name: str) -> np.ndarray:
-    """``layer_norm`` then gain and bias, in ``layer_norm``'s order."""
+def _lean_norm(params: dict[str, np.ndarray], x: np.ndarray, name: str,
+               cache: list | None = None) -> np.ndarray:
+    """``layer_norm`` then gain and bias, in ``layer_norm``'s order; with a
+    ``cache``, it appends the normalized ``y`` and ``inv``."""
     xc = x - x.mean(axis=-1, keepdims=True)
     sq = xc * xc
     inv = sq.mean(axis=-1, keepdims=True)
@@ -348,14 +358,22 @@ def _lean_norm(params: dict[str, np.ndarray], x: np.ndarray, name: str) -> np.nd
     np.sqrt(inv, out=inv)
     np.divide(1.0, inv, out=inv)
     xc *= inv
-    xc *= params[name + ".gain"]
+    if cache is None:
+        xc *= params[name + ".gain"]
+    else:
+        cache += (xc, inv)
+        xc = xc * params[name + ".gain"]
     xc += params[name + ".bias"]
     return xc
 
 
-def _lean_qkv(params: dict[str, np.ndarray], x: np.ndarray, pre: str) -> list[np.ndarray]:
-    """norm1 and the query, key and value projections of a layer."""
-    h = _lean_norm(params, x, pre + "norm1")
+def _lean_qkv(params: dict[str, np.ndarray], x: np.ndarray, pre: str,
+              cache: list | None = None) -> list[np.ndarray]:
+    """norm1 and the query, key and value projections of a layer; with a
+    ``cache``, it appends norm1's ``y``, ``inv`` and output."""
+    h = _lean_norm(params, x, pre + "norm1", cache)
+    if cache is not None:
+        cache.append(h)
     return [_lean_linear(params, h, pre + f"attention.{proj}")
             for proj in ("query", "key", "value")]
 
@@ -397,10 +415,20 @@ def _layer0_table(config: TinyEncoderConfig, params: dict[str, np.ndarray],
 
 
 def _lean_forward(config: TinyEncoderConfig, params: dict[str, np.ndarray],
-                  tokens: np.ndarray, layer0: list[np.ndarray] | None) -> np.ndarray:
+                  tokens: np.ndarray, layer0: list[np.ndarray] | None,
+                  cache: list | None = None) -> np.ndarray:
     """Logits of one batch of checked tokens; ``layer0`` holds the batch's
     rows of the layer-0 table (q, k and v, gathered [rows * seq, hidden]),
-    or is None."""
+    or is None.
+
+    With ``cache`` a list (training passes one, with ``layer0`` None), the
+    forward appends, in forward order, every array ``_lean_backward``
+    reads: each norm's ``y`` and ``inv``; each layer's norm1 output ``h``,
+    the attention views ``q4``, ``kT`` and ``v4``, the softmax
+    probabilities and ``ctx``, then norm2's output, the FFN's pre-GELU
+    ``u``, its ``cdf`` and the GELU output; and ``pooled``. It leaves those
+    arrays unchanged, so where ``predict`` works in place (norm gain, GELU)
+    it writes a new array instead: same bytes, a little more memory."""
     batch, seq = tokens.shape
     heads = config.num_heads
     head_dim = config.hidden_dim // heads
@@ -414,28 +442,149 @@ def _lean_forward(config: TinyEncoderConfig, params: dict[str, np.ndarray],
         if i == 0 and layer0 is not None:
             q, k, v = layer0
         else:
-            q, k, v = _lean_qkv(params, x, pre)
+            q, k, v = _lean_qkv(params, x, pre, cache)
         q, k, v = (a.reshape(split).transpose((0, 2, 1, 3)) for a in (q, k, v))
-        scores = q @ k.transpose((0, 1, 3, 2))
+        k = k.transpose((0, 1, 3, 2))
+        scores = q @ k
         scores *= scale
         scores -= scores.max(axis=-1, keepdims=True)
         np.exp(scores, out=scores)
         scores /= scores.sum(axis=-1, keepdims=True)
         ctx = (scores @ v).transpose((0, 2, 1, 3)).reshape((batch * seq, config.hidden_dim))
+        if cache is not None:
+            cache += (q, k, v, scores, ctx)
         x += _lean_linear(params, ctx, pre + "attention.output")
 
-        h = _lean_norm(params, x, pre + "norm2")
+        h = _lean_norm(params, x, pre + "norm2", cache)
+        if cache is not None:
+            cache.append(h)
         h = _lean_linear(params, h, pre + "ffn.expand")
         cdf = h / _SQRT2
         erf(cdf, out=cdf)
         cdf += 1.0
         cdf *= 0.5
-        h *= cdf
+        if cache is None:
+            h *= cdf
+        else:
+            cache += (h, cdf)
+            h = h * cdf
+            cache.append(h)
         x += _lean_linear(params, h, pre + "ffn.reduce")
 
-    h = _lean_norm(params, x, "head.norm")
+    h = _lean_norm(params, x, "head.norm", cache)
     pooled = h.reshape((batch, seq, config.hidden_dim)).mean(axis=1)
+    if cache is not None:
+        cache.append(pooled)
     return _lean_linear(params, pooled, "head.classifier")
+
+
+def _linear_backward(params: dict[str, np.ndarray], grads: dict[str, np.ndarray],
+                     name: str, x: np.ndarray, g: np.ndarray) -> np.ndarray:
+    """A linear layer's weight and bias gradients, into ``grads``, from its
+    input ``x`` and output gradient ``g``; returns the input's gradient."""
+    grads[name + ".weight"] = np.swapaxes(x, -1, -2) @ g
+    grads[name + ".bias"] = g.sum(axis=(0,))
+    return g @ np.swapaxes(params[name + ".weight"], -1, -2)
+
+
+def _norm_backward(params: dict[str, np.ndarray], grads: dict[str, np.ndarray],
+                   name: str, cache: list, g: np.ndarray, batch: int) -> np.ndarray:
+    """A norm's gain and bias gradients, into ``grads``, from its output
+    gradient ``g`` [rows * seq, hidden], which it overwrites with the
+    input's gradient and returns. It pops ``inv`` and ``y`` off ``cache``.
+    Gain and bias sum over the [rows, seq, hidden] shape the tape sums."""
+    inv, y = cache.pop(), cache.pop()
+    shape = (batch, g.shape[0] // batch, g.shape[1])
+    grads[name + ".bias"] = g.reshape(shape).sum(axis=(0, 1))
+    gy = g * y
+    grads[name + ".gain"] = gy.reshape(shape).sum(axis=(0, 1))
+    g *= params[name + ".gain"]
+    np.multiply(g, y, out=gy)
+    gym = gy.mean(axis=-1, keepdims=True)
+    g -= g.mean(axis=-1, keepdims=True)
+    np.multiply(y, gym, out=gy)
+    g -= gy
+    g *= inv
+    return g
+
+
+def _lean_backward(config: TinyEncoderConfig, params: dict[str, np.ndarray],
+                   tokens: np.ndarray, g_logits: np.ndarray,
+                   cache: list) -> dict[str, np.ndarray]:
+    """Every parameter's gradient, by name, from the loss's gradient in the
+    logits and the ``cache`` that ``_lean_forward`` filled on the same
+    ``tokens`` and ``params``: bitwise what ``Tape.backward`` assigns to
+    the leaves of ``TinyEncoder.forward``'s tape. It pops each cache entry
+    as it reads it and drops each array after its last read, so activations
+    are freed as the backward goes (a batch-256 KD step peaked at 68 MiB
+    under ``tracemalloc``, 83 MiB with the arrays held to the end of each
+    layer), and leaves the cache empty."""
+    batch, seq = tokens.shape
+    d = config.hidden_dim
+    heads = config.num_heads
+    split = (batch, seq, heads, d // heads)
+    scale = 1.0 / math.sqrt(d // heads)
+    grads: dict[str, np.ndarray] = {}
+
+    g = _linear_backward(params, grads, "head.classifier", cache.pop(), g_logits)
+    g = np.broadcast_to(np.expand_dims(g, 1) / seq, (batch, seq, d)).copy()
+    g = _norm_backward(params, grads, "head.norm", cache, g.reshape((batch * seq, d)), batch)
+    for i in reversed(range(config.num_layers)):
+        pre = f"encoder.layer{i}."
+        act, cdf, u, h = cache.pop(), cache.pop(), cache.pop(), cache.pop()
+        gu = _linear_backward(params, grads, pre + "ffn.reduce", act, g)
+        del act
+        # GELU: g * (cdf + u * pdf), pdf = exp(-0.5 * u * u) / sqrt(2 pi)
+        pdf = -0.5 * u
+        pdf *= u
+        np.exp(pdf, out=pdf)
+        pdf *= _INV_SQRT_2PI
+        pdf *= u
+        pdf += cdf
+        del cdf, u
+        gu *= pdf
+        del pdf
+        gh = _linear_backward(params, grads, pre + "ffn.expand", h, gu)
+        del gu
+        g += _norm_backward(params, grads, pre + "norm2", cache, gh, batch)
+
+        ctx, p, v, k, q, h = (cache.pop() for _ in range(6))
+        gc = _linear_backward(params, grads, pre + "attention.output", ctx, g)
+        del ctx
+        gc = gc.reshape(split).transpose((0, 2, 1, 3))
+        gp = gc @ np.swapaxes(v, -1, -2)
+        gv = np.swapaxes(p, -1, -2) @ gc
+        del gc
+        # softmax: p * (g - (g * p).sum(-1)), then the score scale
+        gpp = gp * p
+        gp -= gpp.sum(axis=-1, keepdims=True)
+        del gpp
+        gp *= p
+        del p
+        gp *= scale
+        gq = gp @ np.swapaxes(k, -1, -2)
+        gk = np.swapaxes(q, -1, -2) @ gp
+        del gp
+        rows = (batch * seq, d)
+        gq = gq.transpose((0, 2, 1, 3)).reshape(rows)
+        gk = gk.transpose((0, 3, 1, 2)).reshape(rows)
+        gv = gv.transpose((0, 2, 1, 3)).reshape(rows)
+        gh = _linear_backward(params, grads, pre + "attention.value", h, gv)
+        gh += _linear_backward(params, grads, pre + "attention.key", h, gk)
+        gh += _linear_backward(params, grads, pre + "attention.query", h, gq)
+        del gq, gk, gv, h
+        g += _norm_backward(params, grads, pre + "norm1", cache, gh, batch)
+
+    g = g.reshape((batch, seq, d))
+    gpos = np.zeros(params["embedding.position.weight"].shape)
+    gpos[:seq] += g.sum(axis=(0,))
+    grads["embedding.position.weight"] = gpos
+    # one flat add.at: bitwise the tape's row-wise one, several times faster
+    gtok = np.zeros(params["embedding.token.weight"].shape)
+    flat = tokens.astype(np.intp)[..., None] * d + np.arange(d)
+    np.add.at(gtok.reshape(-1), flat, g)
+    grads["embedding.token.weight"] = gtok
+    return grads
 
 
 def _predict_share(config: TinyEncoderConfig, params: dict[str, np.ndarray],

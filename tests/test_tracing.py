@@ -4,7 +4,8 @@
 example ``distillation.TeacherHandle.logits`` and ``models.evaluate``), so
 renaming one breaks ``bench.py --trace 1``. Entering and leaving it here
 catches that in the main suite. Its ``tensor.tape_nodes`` reads ``len(tape)``
-at backward, so a KD step must still count 109 nodes.
+at backward. A training step keeps only its loss on a tape (the encoder
+runs off it), so a KD step at hardness 1 must count that loss's 8 nodes.
 """
 
 import importlib.util
@@ -68,4 +69,4 @@ def test_backward_span_counts_the_nodes_of_a_kd_step():
                             teacher_logits, KDConfig(hardness=1.0, temperature=5.5),
                             1e-3, 0, {}, {})
     counts = [span[5] for span in tracer.spans if span[0] == "tensor.backward"]
-    assert counts == [{"tape_nodes": 109}]
+    assert counts == [{"tape_nodes": 8}]
