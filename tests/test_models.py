@@ -571,12 +571,15 @@ def test_the_pool_runs_openblas_on_one_thread():
 def test_killed_worker_raises_and_the_next_call_starts_a_fresh_pool():
     out = run_python("""
         from concurrent.futures.process import BrokenProcessPool
+        from multiprocessing.connection import wait
         tokens = np.zeros((128, 8), dtype=np.int64)
         expected = models.predict(model, tokens)
         worker, _ = multiprocessing.active_children()
         os.kill(worker.pid, 9)
-        worker.join(timeout=10)
-        assert not worker.is_alive()
+        # the pool's own thread reaps the worker too, so a join here could
+        # lose the race for its exit status and see it alive; the sentinel
+        # is ready once it has exited, whoever reaps it
+        assert wait([worker.sentinel], timeout=10) == [worker.sentinel]
         try:
             models.predict(model, tokens)
         except BrokenProcessPool:
