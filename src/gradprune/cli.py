@@ -137,6 +137,8 @@ def _cmd_emit_schedule(args) -> int:
 
 
 def _cmd_teacher_stats(args) -> int:
+    if args.limit < 1:
+        raise ValueError(f"--limit must be >= 1, got {args.limit}")
     handle = TeacherHandle(load_checkpoint(args.teacher))
     data = generate_task(_task_from_args(args))
     logits = handle.logits(data.val.tokens[:args.limit])

@@ -181,7 +181,10 @@ def train_teacher(data: TaskData, config: TinyEncoderConfig | None = None, *,
     Returns a checkpoint whose metadata records the final validation
     accuracy. Divergence (non-finite logits or loss) raises TrainingDiverged
     immediately rather than letting garbage propagate into downstream runs.
+    Fewer than one epoch, which would return the untrained init, is an error.
     """
+    if epochs < 1:
+        raise ValueError(f"epochs must be >= 1, got {epochs}")
     if config is None:
         config = TinyEncoderConfig(num_classes=data.task.num_classes, seed=seed)
     _check_classes(config, data)

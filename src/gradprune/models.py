@@ -27,7 +27,6 @@ from concurrent.futures.process import BrokenProcessPool
 from dataclasses import asdict, dataclass
 
 import numpy as np
-from scipy.special import erf
 
 from .checkpoint import Checkpoint, _value
 from .tensor import (
@@ -37,9 +36,10 @@ from .tensor import (
     layer_norm,
     matmul,
     softmax,
-    _INV_SQRT_2PI,
-    _SQRT2,
     _checked_ids,
+    _gelu_cdf,
+    _gelu_slope,
+    _gelu_tanh,
 )
 
 
@@ -328,8 +328,9 @@ def _checked_tokens(config: TinyEncoderConfig, tokens) -> np.ndarray:
 # ufuncs and matmuls on the same operands, in the same order, most of them in
 # place on arrays it owns (IEEE + and x are commutative, so ``x += y`` gives
 # the bytes of ``x + y``). Activations stay 2-D, [rows * seq, features], as
-# ``_linear`` flattens them. What keeps the bytes: GELU divides by sqrt(2)
-# (multiplying by its reciprocal rounds differently); layer norm keeps
+# ``_linear`` flattens them. What keeps the bytes: GELU calls the tape op's
+# own helpers (``_gelu_tanh``: ``u * u * u * a + u``, ``* c``, tanh; then
+# ``_gelu_cdf``: ``(t + 1) * 0.5``; then ``u * cdf``); layer norm keeps
 # ``layer_norm``'s order (mean, subtract, mean of squares, + 1e-5, sqrt,
 # reciprocal, multiply) before gain and bias; scores are (q @ k^T) * scale on
 # the transposed views the tape forward passes to matmul.
@@ -341,9 +342,10 @@ def _checked_tokens(config: TinyEncoderConfig, tokens) -> np.ndarray:
 # terms, whose order does not change the bits, except at norm1's output,
 # which the tape sums as (value + key) + query. Two kinds of array it reads
 # are made elsewhere, by the same ops in the same order: the forward forms
-# GELU's derivative, cdf + u * pdf, with the tape backward's ops, and the
-# backward recomputes each norm1 and norm2 output from its cached ``y`` as
-# the forward made it (``y * gain``, then ``+= bias``).
+# GELU's derivative with the tape backward's helpers (``_gelu_slope``:
+# ``1 - t * t``, ``* u``, ``* c``, ``* (1 + 3a * u**2)``, ``* 0.5``; then
+# ``+= cdf``), and the backward recomputes each norm1 and norm2 output from
+# its cached ``y`` as the forward made it (``y * gain``, then ``+= bias``).
 
 def _lean_linear(params: dict[str, np.ndarray], x: np.ndarray, name: str) -> np.ndarray:
     y = x @ params[name + ".weight"]
@@ -432,7 +434,10 @@ def _lean_forward(config: TinyEncoderConfig, params: dict[str, np.ndarray],
     recomputes the norm outputs from ``y``, so the forward scales a cached
     ``y`` into a new array where ``predict`` scales it in place. Both paths
     write the GELU output in place over its input, and both drop each
-    temporary once its last reader has run."""
+    temporary once its last reader has run. In the FFN, ``predict`` holds two
+    FFN-wide arrays, the input and ``t`` turned into the CDF in place;
+    training holds up to two more while it forms the derivative, which it
+    keeps, and ``1 + 3a * u**2``, which it drops."""
     batch, seq = tokens.shape
     heads = config.num_heads
     head_dim = config.hidden_dim // heads
@@ -468,21 +473,17 @@ def _lean_forward(config: TinyEncoderConfig, params: dict[str, np.ndarray],
 
         h = _lean_norm(params, x, pre + "norm2", cache)
         h = _lean_linear(params, h, pre + "ffn.expand")
-        cdf = h / _SQRT2
-        erf(cdf, out=cdf)
-        cdf += 1.0
-        cdf *= 0.5
-        if cache is not None:
-            # GELU's derivative, cdf + u * pdf, by the tape backward's ops
-            dgelu = -0.5 * h
-            dgelu *= h
-            np.exp(dgelu, out=dgelu)
-            dgelu *= _INV_SQRT_2PI
-            dgelu *= h
+        t = _gelu_tanh(h)
+        if cache is None:
+            cdf = _gelu_cdf(t, out=t)
+        else:
+            # GELU's derivative, by the tape backward's ops
+            dgelu = _gelu_slope(h, t)
+            cdf = _gelu_cdf(t, out=t)
             dgelu += cdf
             cache.append(dgelu)
         h *= cdf
-        del cdf
+        del t, cdf
         if cache is not None:
             cache.append(h)
         x += _lean_linear(params, h, pre + "ffn.reduce")
@@ -541,8 +542,8 @@ def _lean_backward(config: TinyEncoderConfig, params: dict[str, np.ndarray],
     the leaves of ``TinyEncoder.forward``'s tape. It pops each cache entry
     as it reads it and drops each array after its last read, so activations
     are freed as the backward goes, and leaves the cache empty. A batch-256
-    KD step peaks at 50.4 MiB under ``tracemalloc``; the cache holds 46.3
-    MiB of that after the forward."""
+    KD step peaks at 54.3 MiB under ``tracemalloc``, at the last layer's
+    GELU; the cache holds 46.3 MiB after the forward."""
     batch, seq = tokens.shape
     d = config.hidden_dim
     heads = config.num_heads
@@ -558,7 +559,7 @@ def _lean_backward(config: TinyEncoderConfig, params: dict[str, np.ndarray],
         act, dgelu = cache.pop(), cache.pop()
         gu = _linear_backward(params, grads, pre + "ffn.reduce", act, g)
         del act
-        gu *= dgelu  # GELU: g * (cdf + u * pdf), formed by the forward
+        gu *= dgelu  # GELU: g times its derivative, formed by the forward
         del dgelu
         gh = _linear_backward(params, grads, pre + "ffn.expand",
                               _norm_output(params, cache, pre + "norm2"), gu)

@@ -34,6 +34,18 @@ def test_train_teacher_divergence_reports_step(tmp_path, capsys):
     assert not os.path.exists(out)
 
 
+@pytest.mark.parametrize("epochs", ["0", "-2"])
+def test_train_teacher_with_no_epoch_is_an_error_record(tmp_path, capsys, epochs):
+    out = str(tmp_path / "teacher")
+    assert main(["train-teacher", "--out", out, "--epochs", epochs, *TASK_ARGS]) == 1
+    err = capsys.readouterr().err
+    assert len(err.splitlines()) == 1
+    record = json.loads(err)
+    assert record["error"] == "ValueError"
+    assert "epochs must be >= 1" in record["detail"]
+    assert not os.path.exists(out)
+
+
 def test_validate_recipe_bundled_is_clean(capsys):
     assert main(["validate-recipe", "--recipe", "downstream-10ep"]) == 0
     report = json.loads(capsys.readouterr().out)
@@ -170,6 +182,18 @@ def test_teacher_stats_csv(teacher_dir, capsys):
         by_temp[(sample, temp)] = float(entropy)
     for s in range(8):
         assert by_temp[(str(s), "5.5")] >= by_temp[(str(s), "1")] - 1e-12
+
+
+@pytest.mark.parametrize("limit", ["0", "-1", "-63"])
+def test_teacher_stats_limit_below_one_is_an_error_record(teacher_dir, capsys, limit):
+    # a slice would take 0 as no row and a negative as all but that many
+    assert main(["teacher-stats", "--teacher", teacher_dir, "--limit", limit,
+                 *TASK_ARGS]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    record = json.loads(captured.err)
+    assert record["error"] == "ValueError"
+    assert "--limit must be >= 1" in record["detail"]
 
 
 def test_teacher_stats_on_a_malformed_checkpoint_is_an_error_record(

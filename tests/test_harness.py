@@ -1,6 +1,7 @@
 """Harness behavior: deterministic runs, sweeps, sentinels, schedule dumps."""
 
 import json
+import math
 import os
 import time
 
@@ -133,6 +134,25 @@ def test_sparsity_progression(data, teacher):
     assert achieved == sorted(achieved)
 
 
+def test_global_policy_floors_one_quota_over_every_matrix(data, teacher, tmp_path):
+    # at 0.7 the policies part: global floors 0.7 * 2048 = 1433.6 to 1433
+    # zeros in one pool, uniform rounds each tensor half-up (4 x 179 + 2 x 358
+    # = 1432)
+    sparsity = {**BASE_DOC["sparsity"], "final": 0.7, "policy": "global"}
+    out = str(tmp_path / "run")
+    result = run(make_recipe(sparsity=sparsity), data, seed=0, teacher=teacher,
+                 out_dir=out)
+    prunable = models.prunable_parameter_names(teacher.params)
+    total = sum(teacher.params[n].size for n in prunable)
+    assert total == 2048
+    assert result.summary["achieved_sparsity"] == math.floor(0.7 * total) / total
+    ckpt = load_checkpoint(os.path.join(out, "checkpoint"))
+    assert sorted(ckpt.masks) == sorted(prunable)
+    for name, mask in result.checkpoint.masks.items():
+        np.testing.assert_array_equal(ckpt.masks[name], mask)
+        assert np.all(ckpt.params[name][~mask] == 0.0)
+
+
 def test_dense_recipe_runs_without_masks(data):
     recipe = make_recipe(sparsity=None)
     result = run(recipe, data, seed=4)
@@ -190,6 +210,12 @@ def test_class_count_mismatch_is_an_error(data):
 def test_oversized_batch_is_an_error(data):
     with pytest.raises(ValueError, match="batch_size"):
         run(make_recipe(batch_size=128), data, seed=0)
+
+
+@pytest.mark.parametrize("epochs", [0, -2])
+def test_teacher_with_no_epoch_is_an_error(data, epochs):
+    with pytest.raises(ValueError, match="epochs must be >= 1"):
+        train_teacher(data, MODEL, epochs=epochs, batch_size=16)
 
 
 def test_divergence_raises_and_leaves_sentinel(data, teacher, tmp_path):

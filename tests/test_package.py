@@ -1,9 +1,38 @@
-"""The package's public namespace."""
+"""The package's public namespace, and what importing and running it loads."""
+
+import os
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
 
 import gradprune
+
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 
 def test_every_exported_name_resolves():
     namespace: dict = {}
     exec("from gradprune import *", namespace)
     assert set(gradprune.__all__) <= set(namespace)
+
+
+def test_training_and_predicting_load_no_scipy():
+    # numpy is the only dependency; scipy's import alone costs ~25 MB RSS
+    code = textwrap.dedent("""
+        import sys
+        import gradprune
+        from gradprune.models import encoder_from_checkpoint, predict
+        data = gradprune.generate_task(gradprune.SyntheticTask(
+            num_classes=3, sequence_length=8, vocab_size=16,
+            train_size=64, val_size=64, seed=3))
+        teacher = gradprune.train_teacher(data, epochs=1, batch_size=16)
+        predict(encoder_from_checkpoint(teacher), data.val.tokens)
+        print(sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy.")))
+    """)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [str(SRC)] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]))
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, env=env, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.splitlines()[-1] == "[]"
