@@ -137,10 +137,12 @@ def _cmd_emit_schedule(args) -> int:
 
 
 def _cmd_teacher_stats(args) -> int:
-    if args.limit < 1:
-        raise ValueError(f"--limit must be >= 1, got {args.limit}")
+    task = _task_from_args(args)
+    if not 1 <= args.limit <= task.val_size:
+        raise ValueError(f"--limit must be >= 1 and at most the validation split's "
+                         f"{task.val_size} rows, got {args.limit}")
     handle = TeacherHandle(load_checkpoint(args.teacher))
-    data = generate_task(_task_from_args(args))
+    data = generate_task(task)
     logits = handle.logits(data.val.tokens[:args.limit])
     temperatures = ([float(t) for t in args.temperatures.split(",")]
                     if args.temperatures else list(DEFAULT_TEMPERATURES))

@@ -181,10 +181,13 @@ def train_teacher(data: TaskData, config: TinyEncoderConfig | None = None, *,
     Returns a checkpoint whose metadata records the final validation
     accuracy. Divergence (non-finite logits or loss) raises TrainingDiverged
     immediately rather than letting garbage propagate into downstream runs.
-    Fewer than one epoch, which would return the untrained init, is an error.
+    Fewer than one epoch or an lr that is not positive would return the
+    untrained init, so each is an error.
     """
     if epochs < 1:
         raise ValueError(f"epochs must be >= 1, got {epochs}")
+    if not lr > 0:
+        raise ValueError(f"lr must be > 0, got {lr}")
     if config is None:
         config = TinyEncoderConfig(num_classes=data.task.num_classes, seed=seed)
     _check_classes(config, data)
@@ -313,7 +316,7 @@ def run(
     # The teacher runs once, over the whole training split; each step takes
     # its batch's rows of the table. For a batch of two or more rows that is
     # bitwise what a forward of the batch alone gives, on a BLAS that keeps
-    # the rule ``models._predict_share`` names; a 1-row batch's forward
+    # the rule ``models._predict_rows`` names; a 1-row batch's forward
     # takes another BLAS path and may differ in the last bits.
     teacher_logits = (TeacherHandle(teacher).logits(data.train.tokens)
                       if recipe.kd.hardness > 0.0 else None)

@@ -16,18 +16,12 @@ head stay dense.
 from __future__ import annotations
 
 import collections
-import contextlib
-import ctypes
 import math
-import multiprocessing
-import os
-import signal
-from concurrent.futures import Future, ProcessPoolExecutor
-from concurrent.futures.process import BrokenProcessPool
 from dataclasses import asdict, dataclass
 
 import numpy as np
 
+from . import pool
 from .checkpoint import Checkpoint, _value
 from .tensor import (
     Tensor,
@@ -227,81 +221,6 @@ def encoder_from_checkpoint(ckpt: Checkpoint, requires_grad: bool = True) -> Tin
 # a batch of one row takes another BLAS path (see ``predict``).
 _PREDICT_BATCH = 64
 
-# This process's evaluation pool as (pid, workers, executor), made on first
-# use. A forked child sees a pid that is not its own and makes its own pool.
-_pool: tuple[int, int, ProcessPoolExecutor] | None = None
-
-
-def _cpu_count() -> int:
-    """The CPUs this process may run on; 1 where the OS does not say."""
-    return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
-
-
-def _worker_init(parent: int) -> None:
-    """Leave Ctrl-C to the caller, and exit when the caller dies, even by a
-    signal that runs none of its exit handlers. (Linux sends the signal when
-    the thread that made the pool ends: a pool made on a short-lived thread
-    breaks with it, and the next call starts a fresh one.)"""
-    signal.signal(signal.SIGINT, signal.SIG_IGN)
-    prctl = ctypes.CDLL(None).prctl
-    prctl.argtypes = [ctypes.c_int, ctypes.c_ulong]
-    prctl.restype = ctypes.c_int
-    pr_set_pdeathsig = 1
-    prctl(pr_set_pdeathsig, signal.SIGKILL)
-    if os.getppid() != parent:
-        os._exit(1)
-
-
-def _one_blas_thread() -> None:
-    """Set each OpenBLAS this process loaded to one thread; a no-op for
-    another BLAS.
-
-    The encoder's matrices are too small for a second BLAS thread to pay,
-    and an idle OpenBLAS thread spins on a core that a pool worker needs:
-    with two BLAS threads each in the caller and its worker, 1024 rows took
-    0.35-0.9 s against 0.28 s serial on a 2-vCPU host (0.15 s with one)."""
-    with open("/proc/self/maps", encoding="utf-8") as fh:
-        paths = {line.split(maxsplit=5)[-1].rstrip("\n") for line in fh}
-    for path in sorted(p for p in paths if "openblas" in os.path.basename(p)):
-        lib = ctypes.CDLL(path)
-        for name in ("openblas_set_num_threads", "openblas_set_num_threads64_",
-                     "scipy_openblas_set_num_threads", "scipy_openblas_set_num_threads64_"):
-            setter = getattr(lib, name, None)
-            if setter is not None:
-                setter.argtypes = [ctypes.c_int]
-                setter.restype = None
-                setter(1)
-                break
-
-
-def _executor() -> ProcessPoolExecutor:
-    """The pool of one worker per CPU, made now if this process has none of
-    that size. Forking costs no import, and a worker reads only the
-    arguments of each call; it inherits the one BLAS thread set here. The
-    pool shuts down when the interpreter exits."""
-    global _pool
-    key = (os.getpid(), _cpu_count())
-    if _pool is None or _pool[:2] != key:
-        if _pool is not None and _pool[0] == key[0]:
-            _pool[2].shutdown()
-        _one_blas_thread()
-        _pool = (*key, ProcessPoolExecutor(
-            key[1], mp_context=multiprocessing.get_context("fork"),
-            initializer=_worker_init, initargs=(key[0],)))
-    return _pool[2]
-
-
-@contextlib.contextmanager
-def _resetting_a_broken_pool():
-    """Let BrokenProcessPool through, and make the next use start a fresh
-    pool: a worker that died breaks the whole pool."""
-    global _pool
-    try:
-        yield
-    except BrokenProcessPool:
-        _pool = None
-        raise
-
 
 def _checked_shape(config: TinyEncoderConfig, tokens) -> np.ndarray:
     """``tokens`` as an array, after ``TinyEncoder.forward``'s checks: 2-D,
@@ -383,40 +302,29 @@ def _lean_qkv(params: dict[str, np.ndarray], x: np.ndarray, pre: str,
             for proj in ("query", "key", "value")]
 
 
-def _pair_ids(config: TinyEncoderConfig, tokens: np.ndarray) -> np.ndarray:
-    """Each token's (position, token) pair as ``position * vocab_size +
-    token``."""
-    seq = tokens.shape[1]
-    return tokens.astype(np.intp) + np.arange(seq, dtype=np.intp) * config.vocab_size
-
-
-def _table_pairs(config: TinyEncoderConfig, tokens: np.ndarray) -> np.ndarray | None:
-    """The distinct pairs of a call's checked tokens, sorted: the rows of its
-    layer-0 table. None where the call gets no table: for length-1
-    sequences, and where the pair space (``seq * vocab_size``) exceeds the
-    call's tokens, so the presence mask and the table stay within the call."""
-    n, seq = tokens.shape
-    if seq < 2 or config.vocab_size > n:
-        return None
-    present = np.zeros(seq * config.vocab_size, dtype=bool)
-    present[_pair_ids(config, tokens)] = True
-    return np.flatnonzero(present)
-
-
 def _layer0_table(config: TinyEncoderConfig, params: dict[str, np.ndarray],
-                  pairs: np.ndarray,
-                  tokens: np.ndarray) -> tuple[list[np.ndarray], np.ndarray]:
+                  tokens: np.ndarray) -> tuple[list[np.ndarray] | None, np.ndarray | None]:
     """Layer 0 up to attention (the embedding sum, norm1, then q, k and v)
-    depends on a token's (position, token) pair only: q, k and v for each
-    of the call's ``pairs`` (``_table_pairs``), and the row in them of each
-    of ``tokens``, a share of that call. Every row of the call holds
-    positions 0 and 1, so the table has at least two rows."""
+    depends on a token's (position, token) pair only, ``position *
+    vocab_size + token``: q, k and v for each distinct pair of the call's
+    checked ``tokens``, sorted, and each token's row in them. (None, None)
+    where the call gets no table: for length-1 sequences, and where the pair
+    space (``seq * vocab_size``) exceeds the call's tokens, so the presence
+    mask and the table stay within the call. Every row holds positions 0
+    and 1, so a table has at least two rows."""
+    n, seq = tokens.shape
     vocab = config.vocab_size
-    row_of = np.empty(tokens.shape[1] * vocab, dtype=np.intp)
+    if seq < 2 or vocab > n:
+        return None, None
+    ids = tokens.astype(np.intp) + np.arange(seq, dtype=np.intp) * vocab
+    present = np.zeros(seq * vocab, dtype=bool)
+    present[ids] = True
+    pairs = np.flatnonzero(present)
+    row_of = np.empty(seq * vocab, dtype=np.intp)
     row_of[pairs] = np.arange(pairs.size)
     x = (params["embedding.token.weight"][pairs % vocab]
          + params["embedding.position.weight"][pairs // vocab])
-    return _lean_qkv(params, x, "encoder.layer0."), row_of[_pair_ids(config, tokens)]
+    return _lean_qkv(params, x, "encoder.layer0."), row_of[ids]
 
 
 def _lean_forward(config: TinyEncoderConfig, params: dict[str, np.ndarray],
@@ -607,14 +515,12 @@ def _lean_backward(config: TinyEncoderConfig, params: dict[str, np.ndarray],
     return grads
 
 
-def _predict_share(config: TinyEncoderConfig, params: dict[str, np.ndarray],
-                   tokens: np.ndarray, pairs: np.ndarray | None) -> np.ndarray:
+def _predict_rows(config: TinyEncoderConfig, params: dict[str, np.ndarray],
+                  tokens: np.ndarray) -> np.ndarray:
     """Logits of checked ``tokens``, 64-row batch by 64-row batch, from the
-    arrays alone: the lean forward of each batch. A pool worker runs it on
-    its share of a call, and the caller on its own. ``pairs`` are the whole
-    call's ``_table_pairs``, so every share builds the same layer-0 table,
-    of the same row count, at any CPU count; with None, layer 0 runs batch
-    by batch as the rest does.
+    arrays alone: the lean forward of each batch, with layer 0 up to
+    attention gathered from the call's ``_layer0_table`` where it has one.
+    ``predict`` runs it, and so does an ``Evaluations`` worker.
 
     It checks nothing: ``predict`` and ``Evaluations`` check the tokens
     first. Like ``forward``, it makes no finiteness check of the parameters.
@@ -622,20 +528,19 @@ def _predict_share(config: TinyEncoderConfig, params: dict[str, np.ndarray],
 
     Bitwise rules. Every matmul from layer 0's attention on runs on the
     64-row batches ``forward`` would, so its row counts do not depend on the
-    CPU count or on the table. The table's Q/K/V matmuls run on the call's
-    distinct pairs, 2 or more rows, where ``forward`` runs its batch's
-    tokens: equal bytes there rest on BLAS giving a row the same bits at
-    any row count of 2 or more. On numpy's OpenBLAS 0.3.31 (x86-64 Xeon,
-    Haswell kernels, 1 and 2 threads) that holds for 16-, 32-, 64- and
-    128-wide projections at 2 to 4,096 rows, and for 64-wide ones at up to
-    65,536; one row takes another path and differs. It is no general rule:
-    a 64 x 4 matmul, the head's shape, changes path at 3,907 rows.
-    Length-1 sequences get no table: there a batch of one row must take the
-    1-row path, and a table of one distinct token must not."""
+    table. The table's Q/K/V matmuls run on the call's distinct pairs, 2 or
+    more rows, where ``forward`` runs its batch's tokens: equal bytes there
+    rest on BLAS giving a row the same bits at any row count of 2 or more.
+    On numpy's OpenBLAS 0.3.31 (x86-64 Xeon, Haswell kernels, 1 and 2
+    threads) that holds for 16-, 32-, 64- and 128-wide projections at 2 to
+    4,096 rows, and for 64-wide ones at up to 65,536; one row takes another
+    path and differs. It is no general rule: a 64 x 4 matmul, the head's
+    shape, changes path at 3,907 rows. Length-1 sequences get no table:
+    there a batch of one row must take the 1-row path, and a table of one
+    distinct token must not."""
     n = tokens.shape[0]
     out = np.empty((n, config.num_classes))
-    table, index = ((None, None) if pairs is None
-                    else _layer0_table(config, params, pairs, tokens))
+    table, index = _layer0_table(config, params, tokens)
     for start in range(0, n, _PREDICT_BATCH):
         rows = slice(start, start + _PREDICT_BATCH)
         layer0 = (None if table is None
@@ -644,26 +549,12 @@ def _predict_share(config: TinyEncoderConfig, params: dict[str, np.ndarray],
     return out
 
 
-def _submit(config: TinyEncoderConfig, params: dict[str, np.ndarray],
-            tokens: np.ndarray, pairs: np.ndarray | None) -> Future:
-    """``_predict_share`` of ``tokens`` in the pool. The arrays are pickled
-    later, on the pool's feeder thread: they must not change until the
-    future is done."""
-    with _resetting_a_broken_pool():
-        return _executor().submit(_predict_share, config, params, tokens, pairs)
-
-
-def _result(future: Future) -> np.ndarray:
-    """The logits of a ``_submit`` future, or its worker's exception."""
-    with _resetting_a_broken_pool():
-        return future.result()
-
-
 def predict(model: TinyEncoder, tokens: np.ndarray) -> np.ndarray:
     """Logits [rows, num_classes] as a plain array, computed in batches of
-    64 rows by the lean forward (``_predict_share``): bitwise
+    64 rows by the lean forward (``_predict_rows``): bitwise
     ``model.forward`` of each batch, with no tape, and the same checks and
-    messages on the tokens. It records nothing on an active tape.
+    messages on the tokens. It records nothing on an active tape and starts
+    no process.
 
     A row's logits do not depend on the other rows of its batch as long as
     the batch has two or more rows; a batch of one row takes another BLAS
@@ -672,32 +563,10 @@ def predict(model: TinyEncoder, tokens: np.ndarray) -> np.ndarray:
     of one row (n = 1, 65, 129, ...). Calls of ``vocab_size`` rows or more
     with sequences of 2 or more tokens compute layer 0's Q/K/V once per
     distinct (position, token) pair of the call; that this equals the
-    batch's own rows rests on the BLAS rule ``_predict_share`` names.
-
-    The 64-row batches are split into contiguous shares, one for each CPU
-    the process may run on (``os.sched_getaffinity``). The caller computes
-    the first share; each other share goes to a worker of the pool, which
-    has one worker per CPU (so one sits idle here; ``Evaluations`` keeps it
-    busy) and runs the same loop on the same batches with the same layer-0
-    table, so the bytes do not depend on the CPU count. One CPU, or a
-    single batch, runs the serial loop and starts no process:
-    ``taskset -c 0`` gives the serial path. A
-    worker's exception is raised here; a worker that died raises
-    BrokenProcessPool, and the next call starts a fresh pool."""
-    config = model.config
-    tokens = _checked_tokens(config, tokens)
+    batch's own rows rests on the BLAS rule ``_predict_rows`` names."""
+    tokens = _checked_tokens(model.config, tokens)
     params = {name: p.data for name, p in model.params.items()}
-    pairs = _table_pairs(config, tokens)
-    n = tokens.shape[0]
-    batches = -(-n // _PREDICT_BATCH)
-    shares = min(_cpu_count(), batches)
-    if shares < 2:
-        return _predict_share(config, params, tokens, pairs)
-    cuts = [_PREDICT_BATCH * (batches * i // shares) for i in range(shares)] + [n]
-    futures = [_submit(config, params, tokens[lo:hi], pairs)
-               for lo, hi in zip(cuts[1:], cuts[2:])]
-    head = _predict_share(config, params, tokens[:cuts[1]], pairs)
-    return np.concatenate([head] + [_result(f) for f in futures])
+    return _predict_rows(model.config, params, tokens)
 
 
 def _checked_rows(tokens, labels) -> tuple[np.ndarray, np.ndarray]:
@@ -740,9 +609,9 @@ class Evaluations:
 
     def __init__(self, tokens: np.ndarray, labels: np.ndarray):
         self.tokens, self.labels = _checked_rows(tokens, labels)
-        self._workers = _cpu_count()
+        self._workers = pool.cpu_count()
         self._done: list[float] = []
-        self._pending: collections.deque[Future] = collections.deque()
+        self._pending: collections.deque = collections.deque()
 
     def submit(self, model: TinyEncoder) -> None:
         if self._workers < 2:
@@ -752,11 +621,10 @@ class Evaluations:
         if len(self._pending) >= self._workers:
             self._collect_oldest()
         snapshot = {name: p.data.copy() for name, p in model.params.items()}
-        self._pending.append(_submit(model.config, snapshot, tokens,
-                                     _table_pairs(model.config, tokens)))
+        self._pending.append(pool.submit(_predict_rows, model.config, snapshot, tokens))
 
     def _collect_oldest(self) -> None:
-        logits = _result(self._pending[0])
+        logits = pool.result(self._pending[0])
         self._pending.popleft()
         self._done.append(_accuracy(logits, self.labels))
 

@@ -12,7 +12,7 @@ import os
 
 import pytest
 
-from gradprune import models
+from gradprune import pool
 
 _ACCEPTANCE_LINES: list[str] = []
 _LEFT_RUNNING: list[str] = []
@@ -34,30 +34,30 @@ def acceptance():
 
 @pytest.fixture
 def cpus(monkeypatch):
-    """Force the CPU count the evaluation pool reads, so a 1-CPU host also
-    runs the pool.
+    """Force the CPU count that ``pool`` reads, which sets the pool's size
+    and whether ``Evaluations`` uses it, so a 1-CPU host also runs the pool.
 
     The test starts with no pool (an earlier one is set aside and put back
     afterwards), and the pool it makes is shut down when it ends."""
     if not hasattr(os, "sched_getaffinity"):
         pytest.skip("the evaluation pool runs on Linux only")
-    monkeypatch.setattr(models, "_pool", None)
+    monkeypatch.setattr(pool, "_pool", None)
 
     def force(n: int) -> None:
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(n)),
                             raising=False)
 
     yield force
-    if models._pool is not None:
-        models._pool[2].shutdown()
+    if pool._pool is not None:
+        pool._pool[2].shutdown()
 
 
 def pytest_sessionfinish(session, exitstatus):
     """Shut the evaluation pool down, then fail the session if any child
     process is still running: a benchmark run must not leave one behind."""
-    if models._pool is not None and models._pool[0] == os.getpid():
-        models._pool[2].shutdown()
-        models._pool = None
+    if pool._pool is not None and pool._pool[0] == os.getpid():
+        pool._pool[2].shutdown()
+        pool._pool = None
     left = multiprocessing.active_children()
     if left:
         _LEFT_RUNNING.extend(f"pid {p.pid} ({p.name})" for p in left)

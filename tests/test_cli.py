@@ -34,15 +34,20 @@ def test_train_teacher_divergence_reports_step(tmp_path, capsys):
     assert not os.path.exists(out)
 
 
-@pytest.mark.parametrize("epochs", ["0", "-2"])
-def test_train_teacher_with_no_epoch_is_an_error_record(tmp_path, capsys, epochs):
+@pytest.mark.parametrize("flag, value, message", [
+    ("--epochs", "0", "epochs must be >= 1, got 0"),
+    ("--epochs", "-2", "epochs must be >= 1, got -2"),
+    ("--lr", "0", "lr must be > 0, got 0.0"),
+], ids=["epochs=0", "epochs=-2", "lr=0"])
+def test_train_teacher_that_cannot_train_is_an_error_record(tmp_path, capsys, flag,
+                                                            value, message):
     out = str(tmp_path / "teacher")
-    assert main(["train-teacher", "--out", out, "--epochs", epochs, *TASK_ARGS]) == 1
+    assert main(["train-teacher", "--out", out, flag, value, *TASK_ARGS]) == 1
     err = capsys.readouterr().err
     assert len(err.splitlines()) == 1
     record = json.loads(err)
     assert record["error"] == "ValueError"
-    assert "epochs must be >= 1" in record["detail"]
+    assert record["detail"] == message
     assert not os.path.exists(out)
 
 
@@ -184,16 +189,19 @@ def test_teacher_stats_csv(teacher_dir, capsys):
         assert by_temp[(str(s), "5.5")] >= by_temp[(str(s), "1")] - 1e-12
 
 
-@pytest.mark.parametrize("limit", ["0", "-1", "-63"])
-def test_teacher_stats_limit_below_one_is_an_error_record(teacher_dir, capsys, limit):
-    # a slice would take 0 as no row and a negative as all but that many
+@pytest.mark.parametrize("limit", ["0", "-1", "-63", "65"])
+def test_teacher_stats_limit_outside_the_split_is_an_error_record(teacher_dir, capsys,
+                                                                  limit):
+    # a slice would take 0 as no row, a negative as all but that many, and
+    # more than the split's 64 rows as the whole split
     assert main(["teacher-stats", "--teacher", teacher_dir, "--limit", limit,
                  *TASK_ARGS]) == 1
     captured = capsys.readouterr()
     assert captured.out == ""
     record = json.loads(captured.err)
     assert record["error"] == "ValueError"
-    assert "--limit must be >= 1" in record["detail"]
+    assert record["detail"] == ("--limit must be >= 1 and at most the validation "
+                                f"split's 64 rows, got {limit}")
 
 
 def test_teacher_stats_on_a_malformed_checkpoint_is_an_error_record(

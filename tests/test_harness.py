@@ -8,7 +8,7 @@ import time
 import numpy as np
 import pytest
 
-from gradprune import harness, models
+from gradprune import harness, models, pool
 from gradprune.checkpoint import Checkpoint, load_checkpoint, save_checkpoint
 from gradprune.distillation import TeacherHandle
 from gradprune.harness import (
@@ -212,10 +212,18 @@ def test_oversized_batch_is_an_error(data):
         run(make_recipe(batch_size=128), data, seed=0)
 
 
-@pytest.mark.parametrize("epochs", [0, -2])
-def test_teacher_with_no_epoch_is_an_error(data, epochs):
-    with pytest.raises(ValueError, match="epochs must be >= 1"):
-        train_teacher(data, MODEL, epochs=epochs, batch_size=16)
+@pytest.mark.parametrize("setting, message", [
+    ({"epochs": 0}, "epochs must be >= 1, got 0"),
+    ({"epochs": -2}, "epochs must be >= 1, got -2"),
+    ({"lr": 0}, "lr must be > 0, got 0"),
+    ({"lr": -1e-3}, "lr must be > 0, got -0.001"),
+    ({"lr": float("nan")}, "lr must be > 0, got nan"),
+], ids=["epochs=0", "epochs=-2", "lr=0", "lr=-1e-3", "lr=nan"])
+def test_teacher_that_cannot_train_is_an_error(data, setting, message):
+    # no epoch, or lr 0, would return the untrained init as the teacher
+    with pytest.raises(ValueError) as raised:
+        train_teacher(data, MODEL, batch_size=16, **setting)
+    assert str(raised.value) == message
 
 
 def test_divergence_raises_and_leaves_sentinel(data, teacher, tmp_path):
@@ -411,28 +419,28 @@ def test_emit_schedule_matches_timeline(tmp_path):
 # evaluation in the background: pool workers evaluate while run() trains
 # (``cpus`` forces the CPU count; see conftest.py)
 
-REAL_SHARE = models._predict_share
+REAL_ROWS = models._predict_rows
 
 
-def slow_share(*args):
+def slow_rows(*args):
     """The pool's worker function after a pause, so that evaluations pile up
     behind training. Module level, so a forked worker finds it by name."""
     time.sleep(0.2)
-    return REAL_SHARE(*args)
+    return REAL_ROWS(*args)
 
 
 def recording_submit(monkeypatch) -> tuple[list, list]:
     """Record every future the pool is handed, and how many earlier ones were
     still unfinished when it was handed."""
     futures, unfinished = [], []
-    real = models._submit
+    real = pool.submit
 
     def submit(*args):
         unfinished.append(sum(not f.done() for f in futures))
         futures.append(real(*args))
         return futures[-1]
 
-    monkeypatch.setattr(models, "_submit", submit)
+    monkeypatch.setattr(pool, "submit", submit)
     return futures, unfinished
 
 
@@ -447,7 +455,7 @@ def test_background_evaluation_gives_the_bytes_of_one_cpu(data, teacher, cpus,
         rows[count] = run(recipe, data, seed=0, teacher=teacher, out_dir=out).rows
         trees[count] = read_tree(out)
         if count == 1:
-            assert models._pool is None   # one CPU starts no process
+            assert pool._pool is None   # one CPU starts no process
     assert len(rows[1]) == len(compile_timeline(recipe, 4).eval_steps)
     assert trees[1] == trees[2] == trees[3]
     assert rows[1] == rows[2] == rows[3]
@@ -458,7 +466,7 @@ def test_pending_evaluations_never_outnumber_the_workers(data, cpus, monkeypatch
     cpus(1)
     expected = run(recipe, data, seed=0).rows
     cpus(2)
-    monkeypatch.setattr(models, "_predict_share", slow_share)
+    monkeypatch.setattr(models, "_predict_rows", slow_rows)
     futures, unfinished = recording_submit(monkeypatch)
     result = run(recipe, data, seed=0)
     assert len(futures) == len(expected) == 8
@@ -496,7 +504,7 @@ def test_a_run_that_stops_early_leaves_the_pool_working(data, cpus, monkeypatch)
         return real_step(*args)
 
     with monkeypatch.context() as patch:
-        patch.setattr(models, "_predict_share", slow_share)
+        patch.setattr(models, "_predict_rows", slow_rows)
         patch.setattr(harness, "_train_step", stop_at_twelve)
         futures, _ = recording_submit(patch)
         with pytest.raises(TrainingDiverged):

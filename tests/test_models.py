@@ -12,7 +12,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from gradprune import models
+from gradprune import models, pool
 from gradprune.checkpoint import load_checkpoint, save_checkpoint
 from gradprune.distillation import TeacherHandle
 from gradprune.harness import TrainingDiverged, _batches, train_teacher
@@ -284,19 +284,6 @@ def tape_logits(model, tokens):
     return np.concatenate(out) if out else np.empty((0, model.config.num_classes))
 
 
-def test_predict_is_bitwise_the_bare_numpy_forward(teacher_setup):
-    # predict's lean forward against the tape forward it reproduces, on the
-    # same 64-row batches. It needs no stored digest, but it does rest on one
-    # BLAS rule: layer 0's Q/K/V run on the call's distinct (position,
-    # token) pairs, where the tape runs each batch's tokens, so a row must
-    # get the same bits at any row count of 2 or more (true of the OpenBLAS
-    # numpy ships with, for these shapes)
-    _, _, ckpt = teacher_setup
-    tokens = generate_task(SyntheticTask(val_size=1024)).val.tokens
-    model = encoder_from_checkpoint(ckpt, requires_grad=False)
-    assert predict(model, tokens).tobytes() == tape_logits(model, tokens).tobytes()
-
-
 @pytest.fixture(scope="module")
 def three_models(teacher_setup):
     """The desk teacher, a student pruned to 90% with its masks applied,
@@ -314,8 +301,13 @@ def three_models(teacher_setup):
 
 
 @pytest.mark.parametrize("kind", ["teacher", "pruned", "fresh"])
-def test_predict_is_bitwise_the_tape_forward_at_every_cpu_count(cpus, three_models,
-                                                                kind):
+def test_predict_is_bitwise_the_tape_forward(three_models, kind):
+    # predict's lean forward against the tape forward it reproduces, on the
+    # same 64-row batches. It needs no stored digest, but it does rest on one
+    # BLAS rule: layer 0's Q/K/V run on the call's distinct (position,
+    # token) pairs, where the tape runs each batch's tokens, so a row must
+    # get the same bits at any row count of 2 or more (true of the OpenBLAS
+    # numpy ships with, for these shapes)
     model = three_models[kind]
     tokens = generate_task(SyntheticTask(val_size=1024)).val.tokens
     cases = {f"{n} rows": tokens[:n] for n in (0, 1, 2, 63, 64, 65, 129, 1000, 1024)}
@@ -327,14 +319,11 @@ def test_predict_is_bitwise_the_tape_forward_at_every_cpu_count(cpus, three_mode
         "length 1, 65 equal rows": np.repeat(tokens[:1, :1], 65, axis=0),
         "1024 equal rows": np.repeat(tokens[:1], 1024, axis=0),
     })
-    expected = {name: tape_logits(model, t).tobytes() for name, t in cases.items()}
-    for count in (1, 2, 3):
-        cpus(count)
-        for name, t in cases.items():
-            assert predict(model, t).tobytes() == expected[name], (count, name)
+    for name, t in cases.items():
+        assert predict(model, t).tobytes() == tape_logits(model, t).tobytes(), name
 
 
-def test_the_layer0_table_is_bounded_by_the_call(cpus):
+def test_the_layer0_table_is_bounded_by_the_call():
     # a vocabulary of 5,000: 3 rows, fewer than the vocabulary, get no
     # table; 5,000 rows of 8 random tokens get one of mostly distinct pairs
     config = TinyEncoderConfig(vocab_size=5000, max_sequence_length=8, hidden_dim=16,
@@ -345,10 +334,7 @@ def test_the_layer0_table_is_bounded_by_the_call(cpus):
                     [12, 13, 14, 15, 16, 17, 18, 4998]])
     many = np.random.default_rng(0).integers(0, 5000, size=(5000, 8))
     for tokens in (few, many):
-        expected = tape_logits(model, tokens).tobytes()
-        for count in (1, 2):
-            cpus(count)
-            assert predict(model, tokens).tobytes() == expected
+        assert predict(model, tokens).tobytes() == tape_logits(model, tokens).tobytes()
 
 
 @pytest.mark.parametrize("case", ["negative id", "id equal to vocab_size",
@@ -394,8 +380,8 @@ def test_predict_records_nothing_on_an_active_tape(three_models):
 
 
 # ---------------------------------------------------------------------------
-# predict's process pool: one share of the batches per CPU (``cpus`` forces
-# the count; see conftest.py)
+# the evaluation pool (``pool``), which only ``Evaluations`` uses (``cpus``
+# forces the CPU count; see conftest.py)
 
 
 @pytest.fixture(scope="module")
@@ -410,106 +396,98 @@ def pool_children() -> set[int]:
     return {p.pid for p in multiprocessing.active_children()}
 
 
-@pytest.mark.parametrize("count", [2, 3])
-def test_pool_predict_is_bitwise_the_serial_loop(cpus, val_rows, count):
-    # one worker per CPU; the caller takes the first share, so count - 1
-    # workers share the rest
+REAL_ACCURACY = models._accuracy
+
+
+@pytest.fixture
+def logits_seen(monkeypatch) -> list[bytes]:
+    """The bytes of the logits behind every accuracy: the caller computes
+    each one, from a worker's logits or its own."""
+    seen = []
+
+    def accuracy(logits, labels):
+        seen.append(logits.tobytes())
+        return REAL_ACCURACY(logits, labels)
+
+    monkeypatch.setattr(models, "_accuracy", accuracy)
+    return seen
+
+
+def in_background(model, tokens, labels) -> list[float]:
+    """One evaluation through ``Evaluations``, collected."""
+    evaluations = Evaluations(tokens, labels)
+    evaluations.submit(model)
+    return evaluations.accuracies()
+
+
+def test_predict_starts_no_process(cpus, val_rows):
     model, split = val_rows
-    cpus(1)
-    serial_accuracy = evaluate(model, split.tokens, split.labels)
-    cpus(count)
-    for rows in (1, 63, 64, 65, 129, 1000, 1024):
-        tokens = split.tokens[:rows]
-        assert predict(model, tokens).tobytes() == tape_logits(model, tokens).tobytes()
-    assert models._pool[1] == count
-    assert evaluate(model, split.tokens, split.labels) == serial_accuracy
-
-
-def test_every_share_gets_the_pairs_of_the_whole_call(cpus, val_rows, monkeypatch):
-    # each share builds its layer-0 table from the call's pairs, not from its
-    # own, so no matmul's row count depends on the CPU count
-    model, split = val_rows
-    tokens = split.tokens
-    whole = models._table_pairs(model.config, tokens)
-    assert whole.size != models._table_pairs(model.config, tokens[-64:]).size
-    sent = []
-    real_submit = models._submit
-
-    def submit(config, params, share, pairs):
-        sent.append(pairs)
-        return real_submit(config, params, share, pairs)
-
-    monkeypatch.setattr(models, "_submit", submit)
-    cpus(3)
-    predict(model, tokens)
-    assert [p.tobytes() for p in sent] == [whole.tobytes()] * 2
-
-
-def test_predict_on_one_cpu_starts_no_worker(cpus, val_rows):
-    model, split = val_rows
-    cpus(1)
     before = pool_children()
-    predict(model, split.tokens)
-    assert models._pool is None
-    assert pool_children() == before
+    for count in (1, 2, 3):
+        cpus(count)
+        predict(model, split.tokens)
+        evaluate(model, split.tokens, split.labels)
+        assert pool._pool is None
+        assert pool_children() == before
 
 
 CALLER = os.getpid()
-REAL_SHARE = models._predict_share
+REAL_ROWS = models._predict_rows
 
 
-def share_failing_in_a_worker(*args):
-    """``_predict_share`` that raises in any process but the test's. Module
+def rows_failing_in_a_worker(*args):
+    """``_predict_rows`` that raises in any process but the test's. Module
     level, so a forked worker finds it by name."""
     if os.getpid() != CALLER:
         raise ValueError("failed in a worker")
-    return REAL_SHARE(*args)
+    return REAL_ROWS(*args)
 
 
-def test_worker_exception_is_raised_in_the_caller(cpus, val_rows, monkeypatch):
-    # predict raises its second share's exception; an evaluation in the
-    # background raises its worker's when it is collected. The pool is made
-    # before the patch: a worker forked under it would keep failing
+def test_worker_exception_is_raised_in_the_caller(cpus, val_rows, monkeypatch,
+                                                  logits_seen):
+    # an evaluation in the background raises its worker's exception when it
+    # is collected, and the pool goes on working. The pool is made before
+    # the patch: a worker forked under it would keep failing
     model, split = val_rows
     cpus(2)
-    tokens = split.tokens[:128]
-    assert predict(model, tokens).tobytes() == tape_logits(model, tokens).tobytes()
+    tokens, labels = split.tokens[:128], split.labels[:128]
+    expected = tape_logits(model, tokens).tobytes()
+    in_background(model, tokens, labels)
     with monkeypatch.context() as patch:
-        patch.setattr(models, "_predict_share", share_failing_in_a_worker)
-        with pytest.raises(ValueError, match="failed in a worker"):
-            predict(model, tokens)
-        evaluations = Evaluations(tokens, split.labels[:128])
+        patch.setattr(models, "_predict_rows", rows_failing_in_a_worker)
+        evaluations = Evaluations(tokens, labels)
         evaluations.submit(model)
         with pytest.raises(ValueError, match="failed in a worker"):
             evaluations.accuracies()
         evaluations.cancel()
-    assert predict(model, tokens).tobytes() == tape_logits(model, tokens).tobytes()
+    in_background(model, tokens, labels)
+    assert logits_seen == [expected, expected]
 
 
-def test_non_finite_parameters_give_the_same_logits_on_every_cpu_count(cpus, val_rows):
-    # the caller's loop checks no parameter, and neither may a worker: one
-    # inf weight gives the same NaN logits on any CPU count, never an error
-    # on some counts only
+def test_non_finite_parameters_give_the_same_logits_on_every_cpu_count(cpus, val_rows,
+                                                                     logits_seen):
+    # the caller checks no parameter, and neither may a worker: one inf
+    # weight gives the same NaN logits inline and in a worker, never an
+    # error on some counts only
     model, split = val_rows
     broken = encoder_from_checkpoint(model.to_checkpoint(), requires_grad=False)
     broken.params["encoder.layer0.ffn.expand.weight"].data[0, 0] = np.inf
-    tokens = split.tokens[:256]
-    logits = {}
+    tokens, labels = split.tokens[:256], split.labels[:256]
     with np.errstate(invalid="ignore", over="ignore"):
         for count in (1, 2, 3):
             cpus(count)
-            logits[count] = predict(broken, tokens)
-    assert np.isnan(logits[1]).any()
-    assert logits[1].tobytes() == logits[2].tobytes() == logits[3].tobytes()
+            in_background(broken, tokens, labels)
+    assert np.isnan(np.frombuffer(logits_seen[0])).any()
+    assert logits_seen == [logits_seen[0]] * 3
 
 
-def test_workers_ignore_sigint(cpus, val_rows):
+def test_workers_ignore_sigint(cpus, val_rows, logits_seen):
     # Ctrl-C reaches the whole process group; only the caller may raise
     # KeyboardInterrupt, so an interrupted run prints one traceback
     model, split = val_rows
     cpus(2)
     before = pool_children()
-    expected = predict(model, split.tokens)
+    in_background(model, split.tokens, split.labels)
     workers = [p for p in multiprocessing.active_children() if p.pid not in before]
     assert len(workers) == 2
     for worker in workers:
@@ -517,7 +495,8 @@ def test_workers_ignore_sigint(cpus, val_rows):
     for worker in workers:
         worker.join(timeout=0.5)
         assert worker.is_alive()
-    assert predict(model, split.tokens).tobytes() == expected.tobytes()
+    in_background(model, split.tokens, split.labels)
+    assert logits_seen == [logits_seen[0]] * 2
 
 
 SRC = Path(__file__).resolve().parents[1] / "src"
@@ -527,14 +506,21 @@ def run_python(code: str) -> list[str]:
     """Run ``code`` in a fresh interpreter with 2 CPUs forced and return its
     stdout split on whitespace; a hang fails the test after 120 s."""
     if not hasattr(os, "sched_getaffinity"):
-        pytest.skip("predict shares batches on Linux only")
+        pytest.skip("the evaluation pool runs on Linux only")
     prelude = textwrap.dedent("""
         import os
         os.sched_getaffinity = lambda pid: {0, 1}
         import multiprocessing
         import numpy as np
-        from gradprune import models
+        from gradprune import models, pool
+        from gradprune.tasks import SyntheticTask, generate_task
         model = models.TinyEncoder.build(models.TinyEncoderConfig())
+        val = generate_task(SyntheticTask(train_size=64, val_size=128)).val
+
+        def in_background():
+            evaluations = models.Evaluations(val.tokens, val.labels)
+            evaluations.submit(model)
+            return evaluations.accuracies()
     """)
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         [str(SRC)] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]))
@@ -545,11 +531,11 @@ def run_python(code: str) -> list[str]:
 
 
 def test_the_pool_runs_openblas_on_one_thread():
-    # two BLAS threads each in the caller and a worker made the shared
-    # evaluation slower than the serial loop
+    # making the pool sets the caller, and so the workers it forks, to one
+    # BLAS thread: an idle one spins on a core that the other process needs
     out = run_python("""
         import ctypes
-        models.predict(model, np.zeros((128, 8), dtype=np.int64))
+        in_background()
         with open("/proc/self/maps", encoding="utf-8") as fh:
             paths = {line.split(maxsplit=5)[-1].rstrip("\\n") for line in fh}
         for path in sorted(p for p in paths if "openblas" in os.path.basename(p)):
@@ -572,8 +558,7 @@ def test_killed_worker_raises_and_the_next_call_starts_a_fresh_pool():
     out = run_python("""
         from concurrent.futures.process import BrokenProcessPool
         from multiprocessing.connection import wait
-        tokens = np.zeros((128, 8), dtype=np.int64)
-        expected = models.predict(model, tokens)
+        expected = in_background()
         worker, _ = multiprocessing.active_children()
         os.kill(worker.pid, 9)
         # the pool's own thread reaps the worker too, so a join here could
@@ -581,12 +566,12 @@ def test_killed_worker_raises_and_the_next_call_starts_a_fresh_pool():
         # is ready once it has exited, whoever reaps it
         assert wait([worker.sentinel], timeout=10) == [worker.sentinel]
         try:
-            models.predict(model, tokens)
+            in_background()
         except BrokenProcessPool:
-            print("raised")
-        print(models.predict(model, tokens).tobytes() == expected.tobytes())
+            print("raised", pool._pool is None)
+        print(in_background() == expected)
     """)
-    assert out == ["raised", "True"]
+    assert out == ["raised", "True", "True"]
 
 
 def assert_exited(pids: list[int]) -> None:
@@ -606,9 +591,7 @@ def assert_exited(pids: list[int]) -> None:
 
 def test_evaluating_process_leaves_no_child_alive():
     out = run_python("""
-        from gradprune.tasks import SyntheticTask, generate_task
-        val = generate_task(SyntheticTask(train_size=64, val_size=1024)).val
-        models.evaluate(model, val.tokens, val.labels)
+        in_background()
         print(*[p.pid for p in multiprocessing.active_children()])
     """)
     pids = [int(pid) for pid in out]
@@ -621,7 +604,6 @@ def test_training_process_leaves_no_child_alive():
     out = run_python("""
         from gradprune.harness import run
         from gradprune.recipes import override_field, load_bundled
-        from gradprune.tasks import SyntheticTask, generate_task
         data = generate_task(SyntheticTask(train_size=64, val_size=128))
         recipe = override_field(load_bundled("downstream-10ep"), "total_epochs", 6)
         recipe = override_field(recipe, "kd.hardness", 0.0)
