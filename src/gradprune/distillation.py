@@ -123,13 +123,10 @@ def kd_loss_terms(
 
 
 class TeacherHandle:
-    """A frozen teacher model that produces logits as plain arrays.
-
-    Parameters are loaded with requires_grad off, so teacher forwards never
-    land on the caller's tape."""
+    """A teacher checkpoint's model, which produces logits as plain arrays."""
 
     def __init__(self, ckpt):
-        self.encoder = encoder_from_checkpoint(ckpt, requires_grad=False)
+        self.encoder = encoder_from_checkpoint(ckpt)
 
     def logits(self, tokens: np.ndarray) -> np.ndarray:
         """Logits of every row, computed by ``predict``: a run asks once for

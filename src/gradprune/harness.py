@@ -4,7 +4,11 @@ field sweeps, and schedule dumps.
 Every model trains through one step: the encoder's lean forward with a
 cache, the distillation loss on a tape from the logits, the loss's backward
 to the logits, the encoder's hand-written backward, masked Adam step, mask
-re-application. A dense teacher is the case with hardness 0, no masks and
+re-application. The step works on plain arrays: the parameters are one dict
+of float64 arrays, the buffers the model's Tensors hold, which Adam and the
+masks update in place, and the gradients pass from the backward to the
+masks and Adam as a dict. The only Tensor in a step is the loss tape's
+leaf, the logits. A dense teacher is the case with hardness 0, no masks and
 a constant learning rate. A run takes a recipe, a task, a seed, and
 (usually) a teacher checkpoint, and follows the compiled timeline step by
 step: its prune events, and evaluation at epoch ends and prune events.
@@ -20,9 +24,9 @@ in line, which is what one CPU does. A worker's error is raised when the
 run collects that evaluation, at the latest after the loop; a run that
 stops early cancels the evaluations no worker has started.
 
-Output directories get a ``.incomplete`` sentinel file on entry that is
-removed only when the run finishes, so an aborted run is recognizable by
-its leftovers.
+Output directories get a ``.incomplete`` sentinel file once the arguments
+are checked, which is removed only when the run finishes, so an aborted run
+is recognizable by its leftovers and a rejected one leaves nothing.
 """
 
 from __future__ import annotations
@@ -40,6 +44,7 @@ from .models import (
     Evaluations,
     TinyEncoder,
     TinyEncoderConfig,
+    _arrays,
     _checked_tokens,
     _lean_backward,
     _lean_forward,
@@ -56,7 +61,7 @@ from .pruning import (
     masks_subset_of,
     zero_masked_grads,
 )
-from .recipes import Recipe, compile_timeline, override_field, recipe_hash
+from .recipes import Recipe, Timeline, compile_timeline, override_field, recipe_hash
 from .tasks import Split, TaskData, iterate_batches, steps_per_epoch
 from .tensor import Tape, Tensor
 
@@ -131,10 +136,12 @@ def _batches(rng: np.random.Generator, n: int, batch_size: int, epochs: int):
         iterate_batches(rng, n, batch_size) for _ in range(epochs)))
 
 
-def _train_step(model: TinyEncoder, opt: Adam, split: Split, idx: np.ndarray,
-                teacher_logits: np.ndarray | None, kd: KDConfig, lr: float,
-                step: int, params: dict, masks: dict) -> tuple[float, float, float]:
-    """One optimizer step on the batch ``idx``: the loss and its (ce, kl) terms.
+def _train_step(config: TinyEncoderConfig, params: dict[str, np.ndarray], opt: Adam,
+                split: Split, idx: np.ndarray, teacher_logits: np.ndarray | None,
+                kd: KDConfig, lr: float, step: int,
+                masks: dict) -> tuple[float, float, float]:
+    """One optimizer step on the batch ``idx``, in place on the parameter
+    arrays ``params``: the loss and its (ce, kl) terms.
 
     The encoder runs off the tape: the lean forward keeps a cache, and the
     hand-written backward (``models._lean_backward``) reads it. Only the
@@ -149,11 +156,9 @@ def _train_step(model: TinyEncoder, opt: Adam, split: Split, idx: np.ndarray,
     Non-finite logits or a non-finite loss raise TrainingDiverged before any
     parameter changes.
     """
-    config = model.config
     tokens = _checked_tokens(config, split.tokens[idx])
-    arrays = {name: p.data for name, p in model.params.items()}
     cache: list = []
-    logits = _lean_forward(config, arrays, tokens, None, cache)
+    logits = _lean_forward(config, params, tokens, None, cache)
     if not np.all(np.isfinite(logits)):
         raise TrainingDiverged(step)
     targets = teacher_logits[idx] if teacher_logits is not None else None
@@ -164,11 +169,9 @@ def _train_step(model: TinyEncoder, opt: Adam, split: Split, idx: np.ndarray,
     if not np.isfinite(loss_value):
         raise TrainingDiverged(step)
     tape.backward(loss)
-    grads = _lean_backward(config, arrays, tokens, leaf.grad, cache)
-    for name, p in model.params.items():
-        p.grad = grads[name]
-    zero_masked_grads(params, masks)
-    opt.step(lr)
+    grads = _lean_backward(config, params, tokens, leaf.grad, cache)
+    zero_masked_grads(grads, masks)
+    opt.step(lr, grads)
     apply_masks(params, masks)
     return loss_value, ce_term, kl_term
 
@@ -194,10 +197,11 @@ def train_teacher(data: TaskData, config: TinyEncoderConfig | None = None, *,
     n_train = data.train.tokens.shape[0]
     spe = steps_per_epoch(n_train, batch_size)
     model = TinyEncoder.build(config)
-    opt = Adam(model.params, weight_decay=0.0)
+    params = _arrays(model)
+    opt = Adam(params, weight_decay=0.0)
     rng = np.random.Generator(np.random.PCG64(seed))
     for step, idx in _batches(rng, n_train, batch_size, epochs):
-        _train_step(model, opt, data.train, idx, None, TEACHER_KD, lr, step, {}, {})
+        _train_step(config, params, opt, data.train, idx, None, TEACHER_KD, lr, step, {})
     return model.to_checkpoint(metadata={
         "role": "teacher",
         "epochs": epochs,
@@ -209,49 +213,59 @@ def train_teacher(data: TaskData, config: TinyEncoderConfig | None = None, *,
     })
 
 
-def _init_student(recipe: Recipe, data: TaskData, seed: int,
-                  teacher: Checkpoint | None, init: Checkpoint | None):
-    """The student, its prunable tensors, and their starting masks (the init
-    checkpoint's, else all ones), already applied."""
+def _checked_timeline(recipe: Recipe, data: TaskData, teacher: Checkpoint | None,
+                      init: Checkpoint | None) -> tuple[int, Timeline]:
+    """Steps per epoch and the timeline of a run of ``recipe`` on ``data``,
+    once the arguments that do not depend on the seed are checked."""
+    spe = steps_per_epoch(data.train.tokens.shape[0], recipe.batch_size)
+    timeline = compile_timeline(recipe, spe)
     if recipe.stage == "upstream-finetune" and init is None:
         raise ValueError(
             "upstream-finetune runs need an init checkpoint (the mask source)"
         )
-    if init is not None:
+    if init is not None and recipe.mask_source is not None:
         source = init.metadata.get("recipe")
-        if recipe.mask_source is not None and source != recipe.mask_source:
+        if source != recipe.mask_source:
             raise ValueError(
                 f"recipe mask_source {recipe.mask_source!r} does not match the "
                 f"init checkpoint's recipe {source!r}"
             )
-        student = encoder_from_checkpoint(init, requires_grad=True)
+    if recipe.kd.hardness > 0.0 and teacher is None:
+        raise ValueError("recipe has kd.hardness > 0 but no teacher was given")
+    return spe, timeline
+
+
+def _init_student(data: TaskData, seed: int, teacher: Checkpoint | None,
+                  init: Checkpoint | None):
+    """The student, its parameter arrays, and the starting masks of its
+    prunable tensors (the init checkpoint's, else all ones), already
+    applied."""
+    if init is not None:
+        student = encoder_from_checkpoint(init)
     elif teacher is not None:
-        student = encoder_from_checkpoint(teacher, requires_grad=True)
+        student = encoder_from_checkpoint(teacher)
     else:
         student = TinyEncoder.build(
             TinyEncoderConfig(num_classes=data.task.num_classes, seed=seed))
     _check_classes(student.config, data)
 
-    prunable = {
-        name: student.params[name]
-        for name in prunable_parameter_names(student.params)
-    }
-    masks = fresh_masks({n: p.data for n, p in prunable.items()})
+    params = _arrays(student)
+    masks = fresh_masks({n: params[n] for n in prunable_parameter_names(params)})
     if init is not None:
         for name, mask in (init.masks or {}).items():
             if name not in masks:
                 raise ValueError(f"init checkpoint masks a non-prunable tensor {name!r}")
             masks[name] = mask.copy()
-    apply_masks(prunable, masks)
-    return student, prunable, masks
+    apply_masks(params, masks)
+    return student, params, masks
 
 
 def _prune_event(step: int, target: float, params: dict, masks: dict,
                  policy: str) -> dict:
-    """Prune ``params`` to ``target`` at ``step`` and return the new masks;
-    a mask that shrank raises. (``compile_timeline`` checks that targets
-    never decrease.)"""
-    weights = {n: p.data for n, p in params.items()}
+    """Prune the masked tensors of ``params`` to ``target`` at ``step`` and
+    return the new masks; a mask that shrank raises. (``compile_timeline``
+    checks that targets never decrease.)"""
+    weights = {n: params[n] for n in masks}
     new_masks = magnitude_prune(weights, masks, target, policy)
     if not masks_subset_of(masks, new_masks):
         raise RuntimeError(f"mask shrank at step {step}")
@@ -305,14 +319,11 @@ def run(
     pretrained model), else fresh random parameters of the default
     architecture, seeded by ``seed``.
     """
+    n_train = data.train.tokens.shape[0]
+    spe, timeline = _checked_timeline(recipe, data, teacher, init)
+    student, params, masks = _init_student(data, seed, teacher, init)
     if out_dir is not None:
         _place_sentinel(out_dir)
-    n_train = data.train.tokens.shape[0]
-    spe = steps_per_epoch(n_train, recipe.batch_size)
-    timeline = compile_timeline(recipe, spe)
-    student, prunable, masks = _init_student(recipe, data, seed, teacher, init)
-    if recipe.kd.hardness > 0.0 and teacher is None:
-        raise ValueError("recipe has kd.hardness > 0 but no teacher was given")
     # The teacher runs once, over the whole training split; each step takes
     # its batch's rows of the table. For a batch of two or more rows that is
     # bitwise what a forward of the batch alone gives, on a BLAS that keeps
@@ -321,7 +332,7 @@ def run(
     teacher_logits = (TeacherHandle(teacher).logits(data.train.tokens)
                       if recipe.kd.hardness > 0.0 else None)
     policy = recipe.sparsity.policy if recipe.sparsity is not None else "uniform"
-    opt = Adam(student.params, weight_decay=recipe.weight_decay)
+    opt = Adam(params, weight_decay=recipe.weight_decay)
     rng = np.random.Generator(np.random.PCG64(seed))
     rows: list[dict] = []
     evaluations = Evaluations(data.val.tokens, data.val.labels)
@@ -329,11 +340,11 @@ def run(
         for step, idx in _batches(rng, n_train, recipe.batch_size, recipe.total_epochs):
             lr = float(timeline.lr[step])
             target = float(timeline.target[step])
-            loss, ce_term, kl_term = _train_step(student, opt, data.train, idx,
-                                                 teacher_logits, recipe.kd, lr, step,
-                                                 prunable, masks)
+            loss, ce_term, kl_term = _train_step(student.config, params, opt,
+                                                 data.train, idx, teacher_logits,
+                                                 recipe.kd, lr, step, masks)
             if timeline.prune[step]:
-                masks = _prune_event(step, target, prunable, masks, policy)
+                masks = _prune_event(step, target, params, masks, policy)
             if timeline.evaluate[step]:
                 evaluations.submit(student)
                 rows.append({
@@ -384,17 +395,20 @@ def sweep(
     """Run the recipe once per (value, seed), overriding one dotted field.
 
     A diverged child run is recorded and skipped in the aggregate; it does
-    not take down the rest of the sweep. Any other error propagates. The
+    not take down the rest of the sweep. Any other error propagates; every
+    variant's arguments are checked before the first run starts. The
     summary table has one row per value: mean and population std of final
     validation accuracy over the seeds that finished.
     """
     seeds = list(seeds)
+    variants = [(value, override_field(recipe, field, value)) for value in values]
+    for _, variant in variants:
+        _checked_timeline(variant, data, teacher, init)
     sentinel = _place_sentinel(out_dir) if out_dir is not None else None
     rows = []
     runs: dict[str, RunResult] = {}
     errors: dict[str, str] = {}
-    for value in values:
-        variant = override_field(recipe, field, value)
+    for value, variant in variants:
         accs = []
         for seed in seeds:
             key = f"{value}/{seed}"

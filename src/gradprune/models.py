@@ -205,14 +205,19 @@ class TinyEncoder:
         )
 
 
-def encoder_from_checkpoint(ckpt: Checkpoint, requires_grad: bool = True) -> TinyEncoder:
-    """The encoder a checkpoint holds, its config checked field by field."""
+def encoder_from_checkpoint(ckpt: Checkpoint) -> TinyEncoder:
+    """The encoder a checkpoint holds, its config checked field by field.
+    Its parameters are copies, as trainable as a built encoder's."""
     config = _value(TinyEncoderConfig, ckpt.config, "config")
-    params = {
-        name: Tensor(arr.copy(), requires_grad=requires_grad)
-        for name, arr in ckpt.params.items()
-    }
+    params = {name: Tensor(arr.copy(), requires_grad=True)
+              for name, arr in ckpt.params.items()}
     return TinyEncoder(config, params)
+
+
+def _arrays(model: TinyEncoder) -> dict[str, np.ndarray]:
+    """The model's parameter arrays by name: the buffers its Tensors hold,
+    so what changes them in place changes the model."""
+    return {name: p.data for name, p in model.params.items()}
 
 
 # predict's batch of 64 rows. On the lean forward, 1,024 rows of the desk
@@ -305,26 +310,21 @@ def _lean_qkv(params: dict[str, np.ndarray], x: np.ndarray, pre: str,
 def _layer0_table(config: TinyEncoderConfig, params: dict[str, np.ndarray],
                   tokens: np.ndarray) -> tuple[list[np.ndarray] | None, np.ndarray | None]:
     """Layer 0 up to attention (the embedding sum, norm1, then q, k and v)
-    depends on a token's (position, token) pair only, ``position *
-    vocab_size + token``: q, k and v for each distinct pair of the call's
-    checked ``tokens``, sorted, and each token's row in them. (None, None)
-    where the call gets no table: for length-1 sequences, and where the pair
-    space (``seq * vocab_size``) exceeds the call's tokens, so the presence
-    mask and the table stay within the call. Every row holds positions 0
-    and 1, so a table has at least two rows."""
+    depends on a token's (position, token) pair only: q, k and v for every
+    pair of the call's positions, row ``position * vocab_size + token``,
+    and each of the checked ``tokens``' row in them. (None, None) where the
+    call gets no table: for length-1 sequences, and where the pair space
+    (``seq * vocab_size`` rows, 2 or more) exceeds the call's tokens, so
+    the table stays within the call."""
     n, seq = tokens.shape
     vocab = config.vocab_size
     if seq < 2 or vocab > n:
         return None, None
+    x = (params["embedding.token.weight"]
+         + params["embedding.position.weight"][:seq, None]).reshape(
+             seq * vocab, config.hidden_dim)
     ids = tokens.astype(np.intp) + np.arange(seq, dtype=np.intp) * vocab
-    present = np.zeros(seq * vocab, dtype=bool)
-    present[ids] = True
-    pairs = np.flatnonzero(present)
-    row_of = np.empty(seq * vocab, dtype=np.intp)
-    row_of[pairs] = np.arange(pairs.size)
-    x = (params["embedding.token.weight"][pairs % vocab]
-         + params["embedding.position.weight"][pairs // vocab])
-    return _lean_qkv(params, x, "encoder.layer0."), row_of[ids]
+    return _lean_qkv(params, x, "encoder.layer0."), ids
 
 
 def _lean_forward(config: TinyEncoderConfig, params: dict[str, np.ndarray],
@@ -528,16 +528,17 @@ def _predict_rows(config: TinyEncoderConfig, params: dict[str, np.ndarray],
 
     Bitwise rules. Every matmul from layer 0's attention on runs on the
     64-row batches ``forward`` would, so its row counts do not depend on the
-    table. The table's Q/K/V matmuls run on the call's distinct pairs, 2 or
-    more rows, where ``forward`` runs its batch's tokens: equal bytes there
-    rest on BLAS giving a row the same bits at any row count of 2 or more.
+    table. The table's Q/K/V matmuls run on every (position, token) pair of
+    the call's positions, 2 or more rows, where ``forward`` runs its batch's
+    tokens: equal bytes there rest on BLAS giving a row the same bits at any
+    row count of 2 or more.
     On numpy's OpenBLAS 0.3.31 (x86-64 Xeon, Haswell kernels, 1 and 2
     threads) that holds for 16-, 32-, 64- and 128-wide projections at 2 to
     4,096 rows, and for 64-wide ones at up to 65,536; one row takes another
     path and differs. It is no general rule: a 64 x 4 matmul, the head's
     shape, changes path at 3,907 rows. Length-1 sequences get no table:
-    there a batch of one row must take the 1-row path, and a table of one
-    distinct token must not."""
+    there a batch of one row must take the 1-row path, which a table's
+    matmul of ``vocab_size`` rows does not."""
     n = tokens.shape[0]
     out = np.empty((n, config.num_classes))
     table, index = _layer0_table(config, params, tokens)
@@ -562,11 +563,10 @@ def predict(model: TinyEncoder, tokens: np.ndarray) -> np.ndarray:
     equals ``predict(model, tokens)[:n]`` unless ``n`` leaves a last batch
     of one row (n = 1, 65, 129, ...). Calls of ``vocab_size`` rows or more
     with sequences of 2 or more tokens compute layer 0's Q/K/V once per
-    distinct (position, token) pair of the call; that this equals the
+    (position, token) pair of the call's positions; that this equals the
     batch's own rows rests on the BLAS rule ``_predict_rows`` names."""
     tokens = _checked_tokens(model.config, tokens)
-    params = {name: p.data for name, p in model.params.items()}
-    return _predict_rows(model.config, params, tokens)
+    return _predict_rows(model.config, _arrays(model), tokens)
 
 
 def _checked_rows(tokens, labels) -> tuple[np.ndarray, np.ndarray]:

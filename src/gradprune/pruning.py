@@ -1,10 +1,12 @@
 """Magnitude pruning with cumulative boolean masks.
 
-Masks map parameter name -> boolean array (True = keep). Pruning is
-cumulative: an entry that is masked once stays masked, and each prune event
-only removes however many additional weights are needed to reach the target
-quota. The uniform policy rounds each tensor's quota half-up on
-target * size; the global policy floors target * total for its single pool.
+Every function here takes plain arrays: masks map parameter name -> boolean
+array (True = keep), and weights, parameters and gradients map name ->
+float64 array. Pruning is cumulative: an entry that is masked once stays
+masked, and each prune event only removes however many additional weights
+are needed to reach the target quota. The uniform policy rounds each
+tensor's quota half-up on target * size; the global policy floors target *
+total for its single pool.
 Ties in magnitude are broken deterministically: lower flat index first
 within a tensor, and dict order across tensors for the global policy.
 
@@ -106,13 +108,12 @@ def magnitude_prune(
     return new_masks
 
 
-def apply_masks(params, masks: dict[str, np.ndarray]) -> None:
-    """Zero out masked entries in place. ``params`` maps name -> Tensor (or
-    any object with a float64 ``.data`` ndarray)."""
+def apply_masks(params: dict[str, np.ndarray], masks: dict[str, np.ndarray]) -> None:
+    """Zero out the masked entries of the named parameter arrays in place."""
     for name, mask in masks.items():
         if name not in params:
             raise ValueError(f"mask {name!r} does not match any parameter")
-        data = params[name].data
+        data = params[name]
         if data.shape != mask.shape:
             raise ValueError(
                 f"mask {name} has shape {mask.shape}, parameter has shape {data.shape}"
@@ -120,13 +121,13 @@ def apply_masks(params, masks: dict[str, np.ndarray]) -> None:
         data[~mask] = 0.0
 
 
-def zero_masked_grads(params, masks: dict[str, np.ndarray]) -> None:
-    """Zero gradients of masked entries so the optimizer cannot revive them."""
+def zero_masked_grads(grads: dict[str, np.ndarray], masks: dict[str, np.ndarray]) -> None:
+    """Zero the gradients of masked entries in place, so the optimizer
+    cannot revive them."""
     for name, mask in masks.items():
-        grad = params[name].grad
-        if grad is None:
+        if name not in grads:
             raise ValueError(f"parameter {name} has no gradient to mask")
-        grad[~mask] = 0.0
+        grads[name][~mask] = 0.0
 
 
 def mask_sparsity(masks: dict[str, np.ndarray]) -> float:

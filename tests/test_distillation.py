@@ -221,11 +221,11 @@ def test_teacher_handle_is_frozen():
     with Tape() as tape:
         student = Tensor(np.zeros((2, 4)), requires_grad=True)
         first = handle.logits(tokens)
+        # the teacher forward ran inside an active tape without recording
+        assert len(tape) == 0
         loss = kd_loss_terms(student, first, np.array([0, 1]),
                              KDConfig(hardness=1.0, temperature=2.0))[0]
         tape.backward(loss)
-    # the teacher forward ran inside an active tape without contributing nodes
-    assert all(not p.requires_grad for p in handle.encoder.params.values())
     assert not np.array_equal(handle.logits(tokens[::-1].copy()), first)
 
 

@@ -1,5 +1,6 @@
 """Harness behavior: deterministic runs, sweeps, sentinels, schedule dumps."""
 
+import inspect
 import json
 import math
 import os
@@ -237,13 +238,51 @@ def test_divergence_raises_and_leaves_sentinel(data, teacher, tmp_path):
     assert not os.path.exists(os.path.join(out, "metrics.csv"))
 
 
+REJECTED_RUNS = {
+    "kd without a teacher": (
+        {"kd": {**BASE_DOC["kd"], "hardness": 1.0}}, "no teacher was given"),
+    "fine-tune without init": (
+        {"stage": "upstream-finetune", "sparsity": None, "mask_source": "tiny-test",
+         "lr": {"kind": "linear", "initial": 1e-3}}, "need an init checkpoint"),
+    "batch larger than the split": ({"batch_size": 128}, "exceeds training set size"),
+    "more prune events than steps": (
+        {"sparsity": {**BASE_DOC["sparsity"], "prune_frequency_per_epoch": 8}},
+        "cannot fit 8 prune events"),
+}
+
+
+@pytest.mark.parametrize("case", list(REJECTED_RUNS))
+def test_a_rejected_run_leaves_no_out_dir(data, tmp_path, case):
+    # the arguments are checked before the sentinel goes in, so a run that
+    # never started leaves nothing to take for an aborted one
+    replacements, message = REJECTED_RUNS[case]
+    out = tmp_path / "run"
+    with pytest.raises(ValueError, match=message):
+        run(make_recipe(**replacements), data, seed=0, out_dir=str(out))
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("hardness, message", [
+    (2.0, "hardness"),                  # override_field rejects the value
+    (1.0, "no teacher was given"),      # the value's run would
+])
+def test_a_rejected_sweep_leaves_no_out_dir(data, tmp_path, hardness, message):
+    # every variant is built and checked before the sentinel: a bad second
+    # value rejects the sweep before anything runs
+    out = tmp_path / "sweep"
+    with pytest.raises(ValueError, match=message):
+        sweep(make_recipe(), "kd.hardness", [0.0, hardness], [0], data,
+              out_dir=str(out))
+    assert not out.exists()
+
+
 def test_non_finite_loss_from_finite_logits_diverges(data, teacher):
     # logits near +-max float stay finite, but the cross-entropy of a row
     # labelled 1 overflows, so the loss check (not the logits check) fires
     params = dict(teacher.params)
     params["head.classifier.bias"] = np.array([1.7e308, -1.7e308, 0.0])
     extreme = Checkpoint(config=teacher.config, params=params)
-    logits = encoder_from_checkpoint(extreme, requires_grad=False).forward(
+    logits = encoder_from_checkpoint(extreme).forward(
         data.train.tokens).data
     assert np.all(np.isfinite(logits))
     with np.errstate(over="ignore", invalid="ignore"):
@@ -499,7 +538,7 @@ def test_a_run_that_stops_early_leaves_the_pool_working(data, cpus, monkeypatch)
     real_step = harness._train_step
 
     def stop_at_twelve(*args):
-        if args[7] == 12:
+        if inspect.signature(real_step).bind(*args).arguments["step"] == 12:
             raise TrainingDiverged(12)
         return real_step(*args)
 

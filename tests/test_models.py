@@ -184,14 +184,6 @@ def test_teacher_reload_reproduces_accuracy(teacher_setup, tmp_path):
     assert acc == ckpt.metadata["val_accuracy"]
 
 
-def test_teacher_loads_frozen(teacher_setup):
-    _, _, ckpt = teacher_setup
-    model = encoder_from_checkpoint(ckpt, requires_grad=False)
-    assert all(not p.requires_grad for p in model.params.values())
-    model = encoder_from_checkpoint(ckpt)
-    assert all(p.requires_grad for p in model.params.values())
-
-
 def test_teacher_divergence_reports_step():
     task = SyntheticTask(train_size=64, val_size=16)
     data = generate_task(task)
@@ -220,7 +212,7 @@ def test_teacher_table_rows_are_bitwise_the_batch_forward(teacher_setup):
                               init.params["encoder.layer0.ffn.expand.weight"].data)
     split = data.train
     table = TeacherHandle(ckpt).logits(split.tokens)
-    encoder = encoder_from_checkpoint(ckpt, requires_grad=False)
+    encoder = encoder_from_checkpoint(ckpt)
     for batch_size in (32, 256):
         rng = np.random.Generator(np.random.PCG64(batch_size))
         for _, idx in _batches(rng, split.tokens.shape[0], batch_size, 1):
@@ -289,12 +281,12 @@ def three_models(teacher_setup):
     """The desk teacher, a student pruned to 90% with its masks applied,
     and a fresh init."""
     _, _, ckpt = teacher_setup
-    teacher = encoder_from_checkpoint(ckpt, requires_grad=False)
+    teacher = encoder_from_checkpoint(ckpt)
     student = encoder_from_checkpoint(ckpt)
     prunable = {n: student.params[n].data
                 for n in prunable_parameter_names(student.params)}
     masks = magnitude_prune(prunable, fresh_masks(prunable), 0.9)
-    apply_masks(student.params, masks)
+    apply_masks(prunable, masks)
     assert all(not m.all() for m in masks.values())
     fresh = TinyEncoder.build(TinyEncoderConfig(**{**ckpt.config, "seed": 5}))
     return {"teacher": teacher, "pruned": student, "fresh": fresh}
@@ -324,15 +316,23 @@ def test_predict_is_bitwise_the_tape_forward(three_models, kind):
 
 
 def test_the_layer0_table_is_bounded_by_the_call():
-    # a vocabulary of 5,000: 3 rows, fewer than the vocabulary, get no
-    # table; 5,000 rows of 8 random tokens get one of mostly distinct pairs
+    # a vocabulary of 5,000: 3 rows, fewer than the vocabulary, and 5,000
+    # rows of 1-token sequences get no table; 5,000 rows of 8 random tokens
+    # get the whole (position, token) space, 8 x 5,000 rows, as many as the
+    # call has tokens
     config = TinyEncoderConfig(vocab_size=5000, max_sequence_length=8, hidden_dim=16,
                                num_heads=2, ffn_dim=16, num_classes=3)
     model = TinyEncoder.build(config)
+    params = models._arrays(model)
     few = np.array([[4999, 0, 7, 7, 4999, 1, 2, 3],
                     [4999, 0, 9, 7, 11, 1, 2, 3],
                     [12, 13, 14, 15, 16, 17, 18, 4998]])
     many = np.random.default_rng(0).integers(0, 5000, size=(5000, 8))
+    for tokens in (few, many[:, :1]):
+        assert models._layer0_table(config, params, tokens) == (None, None)
+    table, index = models._layer0_table(config, params, many)
+    assert [a.shape for a in table] == [(8 * 5000, 16)] * 3
+    assert index.shape == many.shape
     for tokens in (few, many):
         assert predict(model, tokens).tobytes() == tape_logits(model, tokens).tobytes()
 
@@ -470,7 +470,7 @@ def test_non_finite_parameters_give_the_same_logits_on_every_cpu_count(cpus, val
     # weight gives the same NaN logits inline and in a worker, never an
     # error on some counts only
     model, split = val_rows
-    broken = encoder_from_checkpoint(model.to_checkpoint(), requires_grad=False)
+    broken = encoder_from_checkpoint(model.to_checkpoint())
     broken.params["encoder.layer0.ffn.expand.weight"].data[0, 0] = np.inf
     tokens, labels = split.tokens[:256], split.labels[:256]
     with np.errstate(invalid="ignore", over="ignore"):

@@ -1,5 +1,7 @@
 """The package's public namespace, and what importing and running it loads."""
 
+import ast
+import inspect
 import os
 import subprocess
 import sys
@@ -7,6 +9,8 @@ import textwrap
 from pathlib import Path
 
 import gradprune
+from gradprune import optim, pruning
+from gradprune.models import encoder_from_checkpoint
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
@@ -36,3 +40,26 @@ def test_training_and_predicting_load_no_scipy():
                           text=True, env=env, timeout=120)
     assert done.returncode == 0, done.stderr
     assert done.stdout.splitlines()[-1] == "[]"
+
+
+def imported_names(module) -> set[str]:
+    """Every dotted name that ``module``'s imports name, relative ones
+    without their leading dots (``from .tensor import Tensor`` gives
+    ``tensor.Tensor``)."""
+    names = set()
+    for node in ast.walk(ast.parse(inspect.getsource(module))):
+        if isinstance(node, ast.Import):
+            names.update(alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            prefix = f"{node.module}." if node.module else ""
+            names.update(prefix + alias.name for alias in node.names)
+    return names
+
+
+def test_training_state_is_plain_arrays():
+    # Adam and the mask helpers take name -> ndarray dicts, so neither
+    # module needs the autodiff Tensor; a loaded encoder has one form
+    for module in (optim, pruning):
+        assert not any("tensor" in name.split(".") for name in imported_names(module)), \
+            module.__name__
+    assert list(inspect.signature(encoder_from_checkpoint).parameters) == ["ckpt"]

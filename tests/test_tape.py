@@ -45,20 +45,20 @@ def task_split():
 
 
 def step_inputs(kd: KDConfig, masked: bool = True, config: TinyEncoderConfig = DEFAULT):
-    """An encoder, a 256-row training split, teacher logits of its rows from
-    a second encoder (for KD), and uniform 0.7 masks already applied (when
-    ``masked``; else empty dicts)."""
+    """An encoder and its parameter arrays, a 256-row training split, teacher
+    logits of its rows from a second encoder (for KD), and uniform 0.7 masks
+    already applied (when ``masked``; else an empty dict)."""
     split = task_split()
     model = TinyEncoder.build(config)
+    arrays = {name: p.data for name, p in model.params.items()}
     teacher_logits = (None if kd is TEACHER_KD else
                       predict(TinyEncoder.build(TinyEncoderConfig(seed=1)), split.tokens))
     if not masked:
-        return model, split, teacher_logits, {}, {}
-    prunable = {n: model.params[n] for n in prunable_parameter_names(model.params)}
-    weights = {n: p.data for n, p in prunable.items()}
+        return model, arrays, split, teacher_logits, {}
+    weights = {n: arrays[n] for n in prunable_parameter_names(arrays)}
     masks = magnitude_prune(weights, fresh_masks(weights), 0.7, "uniform")
-    apply_masks(prunable, masks)
-    return model, split, teacher_logits, prunable, masks
+    apply_masks(arrays, masks)
+    return model, arrays, split, teacher_logits, masks
 
 
 def tape_pass(model, tokens, targets, labels, kd):
@@ -96,7 +96,7 @@ PINS += [(SMALL, batch, loss, True) for batch in (2, 32) for loss in LOSSES]
     for c, b, loss, m in PINS])
 def test_lean_step_is_bitwise_the_tape(config, batch, loss, masked):
     kd = LOSSES[loss]
-    model, split, teacher_logits, _, _ = step_inputs(kd, masked, config)
+    model, _, split, teacher_logits, _ = step_inputs(kd, masked, config)
     tokens, labels = split.tokens[:batch], split.labels[:batch]
     targets = None if teacher_logits is None else teacher_logits[:batch]
     logits, value, terms, grads, nodes = lean_pass(model, tokens, targets, labels, kd)
@@ -111,16 +111,18 @@ def test_lean_step_is_bitwise_the_tape(config, batch, loss, masked):
         assert grads[name].tobytes() == ref.tobytes(), name
 
 
-def tape_step(model, opt, split, idx, teacher_logits, kd, lr, params, masks):
-    """``_train_step`` as it was with the whole step on the tape."""
+def tape_step(model, arrays, opt, split, idx, teacher_logits, kd, lr, masks):
+    """``_train_step`` as it was with the whole step on the tape: the
+    gradients are what ``Tape.backward`` leaves on the parameters."""
     targets = teacher_logits[idx] if teacher_logits is not None else None
     with Tape() as tape:
         logits = model.forward(split.tokens[idx])
         loss, ce_term, kl_term = kd_loss_terms(logits, targets, split.labels[idx], kd)
     tape.backward(loss)
-    zero_masked_grads(params, masks)
-    opt.step(lr)
-    apply_masks(params, masks)
+    grads = {name: p.grad for name, p in model.params.items()}
+    zero_masked_grads(grads, masks)
+    opt.step(lr, grads)
+    apply_masks(arrays, masks)
     return float(loss.data), ce_term, kl_term
 
 
@@ -137,16 +139,16 @@ def test_steps_and_prune_events_match_the_tape_step(loss, monkeypatch):
     monkeypatch.setattr(Tape, "backward", counting)
     sides = []
     for _ in range(2):
-        model, split, teacher_logits, prunable, masks = step_inputs(kd)
-        sides.append([model, Adam(model.params, weight_decay=0.01), prunable, masks])
+        model, arrays, split, teacher_logits, masks = step_inputs(kd)
+        sides.append([model, arrays, Adam(arrays, weight_decay=0.01), masks])
     rng = np.random.Generator(np.random.PCG64(3))
     for step, target in enumerate((0.8, 0.9, None)):
         idx = rng.permutation(split.tokens.shape[0])[:32]
-        (student, opt, prunable, masks), (ref, ref_opt, ref_prunable, ref_masks) = sides
-        terms = _train_step(student, opt, split, idx, teacher_logits, kd, 1e-2, step,
-                            prunable, masks)
-        ref_terms = tape_step(ref, ref_opt, split, idx, teacher_logits, kd, 1e-2,
-                              ref_prunable, ref_masks)
+        (student, arrays, opt, masks), (ref, ref_arrays, ref_opt, ref_masks) = sides
+        terms = _train_step(student.config, arrays, opt, split, idx, teacher_logits, kd,
+                            1e-2, step, masks)
+        ref_terms = tape_step(ref, ref_arrays, ref_opt, split, idx, teacher_logits, kd,
+                              1e-2, ref_masks)
         assert terms == ref_terms
         for name in ref.params:
             assert student.params[name].data.tobytes() == ref.params[name].data.tobytes()
@@ -156,7 +158,7 @@ def test_steps_and_prune_events_match_the_tape_step(loss, monkeypatch):
             {n: m.tobytes() for n, m in ref_masks.items()}
         if target is not None:
             for side in sides:
-                side[3] = _prune_event(step, target, side[2], side[3], "uniform")
+                side[3] = _prune_event(step, target, side[1], side[3], "uniform")
     # every shipped step's backward ran on the loss tape alone
     assert nodes[0::2] == [LOSS_NODES[loss]] * 3
 
@@ -175,11 +177,11 @@ def traced_peak(call) -> int:
 
 
 def test_kd_step_peak_memory_is_bounded():
-    model, split, teacher_logits, prunable, masks = step_inputs(KD)
-    opt = Adam(model.params)
+    model, arrays, split, teacher_logits, masks = step_inputs(KD)
+    opt = Adam(arrays)
     idx = np.arange(256)
-    peak = traced_peak(lambda: _train_step(model, opt, split, idx, teacher_logits,
-                                           KD, 1e-3, 0, prunable, masks))
+    peak = traced_peak(lambda: _train_step(model.config, arrays, opt, split, idx,
+                                           teacher_logits, KD, 1e-3, 0, masks))
     assert peak < STEP_PEAK_BOUND, f"step peak {peak / 2**20:.1f} MiB"
 
 

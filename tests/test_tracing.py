@@ -60,13 +60,13 @@ def test_backward_span_counts_the_nodes_of_a_kd_step():
     tracing = load_tracing()
     config = TinyEncoderConfig()
     split = generate_task(SyntheticTask(train_size=8, val_size=4)).train
-    student = TinyEncoder.build(config)
+    params = models._arrays(TinyEncoder.build(config))
     teacher = TinyEncoder.build(replace(config, seed=1))
     teacher_logits = models.predict(teacher, split.tokens)
     tracer = tracing.Tracer()
     with tracing.instrument(tracer, config.hidden_dim, config.ffn_dim):
-        harness._train_step(student, Adam(student.params), split, np.arange(8),
+        harness._train_step(config, params, Adam(params), split, np.arange(8),
                             teacher_logits, KDConfig(hardness=1.0, temperature=5.5),
-                            1e-3, 0, {}, {})
+                            1e-3, 0, {})
     counts = [span[5] for span in tracer.spans if span[0] == "tensor.backward"]
     assert counts == [{"tape_nodes": 8}]
